@@ -6,8 +6,6 @@ Modules by concern:
 * ``clifford``      exact symmetric Clifford systems on R^{2l}
 * ``fkm``           the Clifford quartic, level-set/focal sampling, shape operators
 * ``certificates``  high-precision verification of the eigenvalue inequality chain
-* ``spectral``      graph-Laplacian eigenvalue estimation and exact reference spectra
-* ``cli``           batch command-line front-end
 """
 
 __version__ = "0.1.0"

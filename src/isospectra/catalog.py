@@ -6,12 +6,12 @@ multiplicities m_alpha satisfying m_alpha = m_{alpha+2}.  Everything the rest
 of the package consumes about a family (dimension, the minimal hypersurface's
 angle, focal dimensions, which (m1, m2) occur at all) lives here.
 
-The g=4 admissible catalog is the union of three classification families,
-taken as data:
-
-* homogeneous pairs (1,k), (2,2k-1), (4,4k-1), (2,2), (4,5), (6,9);
-* Clifford-construction pairs (m, k*delta(m)-m-1), both entries positive;
-* the exceptional pair (7, 8).
+The g=4 admissible catalog is the set of FKM pairs (m, k*delta(m)-m-1), both
+entries positive (Ferus-Karcher-Muenzner, Math. Z. 177 (1981)), together with
+(2, 2) and (4, 5).  Stolz (Invent. Math. 138 (1999)) showed that these are
+exactly the multiplicities a g=4 isoparametric hypersurface can have.  The
+homogeneous pairs (1,k), (2,2k-1), (4,4k-1), (6,9) and the pair (7,8) need no
+list of their own: each is already an FKM pair, in one of its orientations.
 """
 
 from __future__ import annotations
@@ -196,37 +196,34 @@ def is_ot_fkm(m1: int, m2: int) -> bool:
     return clifford_multiplier(m1, m2) is not None
 
 
-def admissible_pairs(max_sum: int) -> tuple[MultiplicityPair, ...]:
-    """All admissible g=4 pairs with m1 + m2 <= max_sum, normalized m1 <= m2.
+def clifford_pairs(max_sum: int) -> list[tuple[int, int]]:
+    """Oriented FKM pairs (m, k*delta(m)-m-1) with both entries positive and sum <= max_sum.
 
-    Union of the homogeneous list, the Clifford-construction pairs and (7,8);
-    deduplicated and sorted by (m1+m2, m1).
+    Sorted by (m1+m2, m1).  Both orientations of a pair can occur; they are
+    distinct families whose focal submanifolds interchange.
     """
-    if max_sum < 2:
-        raise ValueError(f"max_sum must be >= 2, got {max_sum}")
-    found: set[tuple[int, int]] = set()
-
-    def add(a: int, b: int):
-        if a >= 1 and b >= 1 and a + b <= max_sum:
-            found.add((min(a, b), max(a, b)))
-
-    for k in range(1, max_sum + 1):
-        add(1, k)
-        add(2, 2 * k - 1)
-        add(4, 4 * k - 1)
-    add(2, 2)
-    add(4, 5)
-    add(6, 9)
-    add(7, 8)
+    pairs = []
     for m in range(1, max_sum):
         d = delta(m)
+        # m + m2 = k*d - 1 <= max_sum bounds k
         for k in range(1, (max_sum + 1) // d + 1):
             m2 = k * d - m - 1
             if m2 >= 1:
-                add(m, m2)
-    return tuple(
-        pair_g4(a, b) for a, b in sorted(found, key=lambda ab: (ab[0] + ab[1], ab[0], ab[1]))
-    )
+                pairs.append((m, m2))
+    return sorted(pairs, key=lambda ab: (ab[0] + ab[1], ab[0]))
+
+
+def admissible_pairs(max_sum: int) -> tuple[MultiplicityPair, ...]:
+    """All admissible g=4 pairs with m1 + m2 <= max_sum, normalized m1 <= m2.
+
+    The FKM pairs plus (2, 2) and (4, 5), deduplicated and sorted by
+    (m1+m2, m1).
+    """
+    if max_sum < 2:
+        raise ValueError(f"max_sum must be >= 2, got {max_sum}")
+    found = {(min(a, b), max(a, b)) for a, b in clifford_pairs(max_sum)}
+    found.update(ab for ab in ((2, 2), (4, 5)) if sum(ab) <= max_sum)
+    return tuple(pair_g4(a, b) for a, b in sorted(found, key=lambda ab: (ab[0] + ab[1], ab[0])))
 
 
 # -- known first-eigenvalue facts (catalog data, not computed) ---------------

@@ -13,9 +13,12 @@ quantities in play are
 and the chain to verify is K_alpha < (n+2) G / n for every alpha, which for
 alpha = 1 is equivalent to 1 + S < A (alpha = 4 is the mirror image with the
 multiplicities swapped).  When min(m1, m2) >= 2, S < 1 and A >= 2, so the
-chain holds; certificates compute everything twice (float quadrature path and
+chain holds; certificates decide every verdict twice (float quadrature path and
 exact surd/rational/pi path) and refuse to report a verdict whose margin is
-smaller than the numerical error bound.
+smaller than the numerical error bound.  Each quantity (G, K_1..K_4, S and A
+of the pair and of its mirror) is computed once per certificate and both
+paths read it from there.  The quadrature tolerance is relative only, so the
+error bounds scale with G and K_alpha however small they get.
 
 Every Gamma/Beta argument that occurs is a half-integer, so the exact path is
 pure rational arithmetic times powers of pi and sqrt(m2(m1+m2)); sign
@@ -34,6 +37,7 @@ from scipy.integrate import quad
 
 from .catalog import (
     MultiplicityPair,
+    clifford_pairs,
     delta,
     focal_dimensions,
     hypersurface_dimension,
@@ -48,62 +52,10 @@ SCHEMA_VERSION = 1
 
 # float values derived from exact closed forms are correct to a few ulp
 _EXACT_FLOAT_REL_ERR = 5e-15
-_QUAD_OPTS = dict(epsabs=1e-14, epsrel=1e-12, limit=200)
+_QUAD_OPTS = dict(epsabs=0.0, epsrel=1e-12, limit=200)
 
 
 # -- special functions ---------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class BetaValue:
-    """B(x, y) with an error bound; exact closed form kept for half-integers."""
-
-    x: float
-    y: float
-    value: float
-    error_bound: float
-    exact: PiRational | None = None
-
-
-def beta_value(x: float, y: float) -> BetaValue:
-    """Beta function via log-Gamma, exact for half-integer arguments.
-
-    B(x, y) = Gamma(x) Gamma(y) / Gamma(x+y).  Half-integer arguments are
-    reduced to factorials and powers of sqrt(pi), and that value is the one
-    reported; otherwise exp(lgamma(x) + lgamma(y) - lgamma(x+y)).
-    """
-    if x <= 0 or y <= 0:
-        raise ValueError(f"beta arguments must be positive, got ({x}, {y})")
-    lg = math.lgamma(x) + math.lgamma(y) - math.lgamma(x + y)
-    approx = math.exp(lg)
-    two_x, two_y = 2.0 * x, 2.0 * y
-    if two_x == int(two_x) and two_y == int(two_y):
-        exact = beta_half(int(two_x), int(two_y))
-        value = float(exact)
-        return BetaValue(x, y, value, abs(value) * _EXACT_FLOAT_REL_ERR, exact)
-    return BetaValue(x, y, approx, abs(approx) * 1e-13)
-
-
-def ratio_T(p: int, q: int) -> float:
-    """T(p, q) = (2q+1)!! (2p+2q-1)!! pi / (q! (p+q)! 2^(p+2q+1)), in log space.
-
-    Equals S(2p, 2q+1); strictly decreasing in p, strictly increasing in q,
-    with T(1, q) -> 1 as q -> infinity.
-    """
-    if p < 1 or q < 1:
-        raise ValueError(f"T(p, q) requires p, q >= 1, got ({p}, {q})")
-    # (2n+1)!! = (2n+2)! / (2^(n+1) (n+1)!),  (2n-1)!! = (2n)! / (2^n n!)
-    log_df1 = math.lgamma(2 * q + 3) - (q + 1) * math.log(2) - math.lgamma(q + 2)
-    log_df2 = math.lgamma(2 * (p + q) + 1) - (p + q) * math.log(2) - math.lgamma(p + q + 1)
-    log_t = (
-        log_df1
-        + log_df2
-        + math.log(math.pi)
-        - math.lgamma(q + 1)
-        - math.lgamma(p + q + 1)
-        - (p + 2 * q + 1) * math.log(2)
-    )
-    return math.exp(log_t)
 
 
 @dataclass(frozen=True)
@@ -128,20 +80,6 @@ def gamma_ratio_S(pair: MultiplicityPair) -> SValue:
     if exact.half_pi % 2 != 0:
         raise AssertionError("S has a stray half power of pi")
     return SValue(float(exact), exact)
-
-
-def telescoping_S_odd(m1: int, m2: int) -> Fraction:
-    """S(m1, m2) for odd m1 = 2p+1 as the exact telescoping product.
-
-    prod_{i=0}^{p-1} ((m2+1)/2 + i) / ((m2+2)/2 + i); equals 1 when p = 0.
-    """
-    if m1 % 2 != 1:
-        raise ValueError("telescoping form requires odd m1")
-    p = (m1 - 1) // 2
-    num = Fraction(1)
-    for i in range(p):
-        num *= (Fraction(m2 + 1, 2) + i) / (Fraction(m2 + 2, 2) + i)
-    return num
 
 
 @dataclass(frozen=True)
@@ -251,8 +189,9 @@ def integral_K(pair: MultiplicityPair, alpha: int) -> IntegralValue:
     """K_alpha at the minimal angle, quadrature plus closed form where it exists.
 
     The alpha = 1 integrand sin^m1(2x) cos^m2(2x) / sin^2(x) is rewritten as
-    2^m1 sin^(m1-2)(x) cos^m1(x) cos^m2(2x), smooth for m1 >= 2 (alpha = 4
-    mirrors with m1 <-> m2); m1 = 1 (resp. m2 = 1) diverges.
+    4 cos^2(x) sin^(m1-2)(2x) cos^m2(2x), smooth for m1 >= 2 and free of any
+    2^m1 factor that would overflow (alpha = 4 mirrors with m1 <-> m2);
+    m1 = 1 (resp. m2 = 1) diverges.
     """
     m1, m2 = pair.m1, pair.m2
     if alpha not in (1, 2, 3, 4):
@@ -265,9 +204,9 @@ def integral_K(pair: MultiplicityPair, alpha: int) -> IntegralValue:
     sin2_f = float(sin2)
 
     if alpha == 1:
-        integrand = lambda x: 2.0**m1 * math.sin(x) ** (m1 - 2) * math.cos(x) ** m1 * math.cos(2 * x) ** m2
+        integrand = lambda x: 4.0 * math.cos(x) ** 2 * math.sin(2 * x) ** (m1 - 2) * math.cos(2 * x) ** m2
     elif alpha == 4:
-        integrand = lambda x: 2.0**m2 * math.sin(x) ** (m2 - 2) * math.cos(x) ** m2 * math.cos(2 * x) ** m1
+        integrand = lambda x: 4.0 * math.cos(x) ** 2 * math.sin(2 * x) ** (m2 - 2) * math.cos(2 * x) ** m1
     else:
         shift = (alpha - 1) * math.pi / 4.0
         integrand = lambda x: (
@@ -335,14 +274,11 @@ class HypersurfaceCertificate:
         }
 
 
-def _exact_k1_verdict(pair: MultiplicityPair, mirrored: bool) -> bool:
+def _exact_k1_verdict(s_val: SValue, a_val: AValue) -> bool:
     """K_1 < (n+2)G/n decided exactly via the equivalent 1 + S < A.
 
-    ``mirrored`` swaps the multiplicities, which decides K_4 instead.
+    S and A of the swapped pair decide K_4 instead.
     """
-    p = pair.swapped() if mirrored else pair
-    s_val = gamma_ratio_S(p)
-    a_val = threshold_A(p)
     terms = [
         (a_val.exact.rational - 1, 1, 0),
         (a_val.exact.coef, a_val.exact.radicand, 0),
@@ -351,10 +287,8 @@ def _exact_k1_verdict(pair: MultiplicityPair, mirrored: bool) -> bool:
     return sign_of_terms(terms) > 0
 
 
-def _exact_k_direct(pair: MultiplicityPair, alpha: int, g_val: IntegralValue) -> bool:
+def _exact_k_direct(n: int, g_val: IntegralValue, k_val: IntegralValue) -> bool:
     """(n+2)G/n - K_alpha > 0 decided exactly from the closed forms (alpha in {1,4})."""
-    k_val = integral_K(pair, alpha)
-    n = hypersurface_dimension(pair)
     factor = Fraction(n + 2, n)
     terms = [(factor * c, d, p) for c, d, p in g_val.exact_terms]
     terms.extend((-c, d, p) for c, d, p in k_val.exact_terms)
@@ -386,6 +320,9 @@ def certify_hypersurface(pair: MultiplicityPair) -> HypersurfaceCertificate:
     k_vals = tuple(integral_K(pair, a) for a in (1, 2, 3, 4))
     s_val = gamma_ratio_S(pair)
     a_val = threshold_A(pair)
+    mirror = pair.swapped()
+    s_mirror = gamma_ratio_S(mirror)
+    a_mirror = threshold_A(mirror)
 
     bound = (n + 2) / n * g_val.value
     bound_err = (n + 2) / n * g_val.error_bound
@@ -412,14 +349,15 @@ def certify_hypersurface(pair: MultiplicityPair) -> HypersurfaceCertificate:
         if abs(margins[key]) <= scalar_err:
             inconclusive.append(key)
 
+    one_plus_s_lt_a = _exact_k1_verdict(s_val, a_val)
     exact_verdicts = {
-        "K1": _exact_k1_verdict(pair, mirrored=False) and _exact_k_direct(pair, 1, g_val),
+        "K1": one_plus_s_lt_a and _exact_k_direct(n, g_val, k_vals[0]),
         "K2": (1 - _sin2_theta_alpha(pair, 2)).sign() > 0,
         "K3": (1 - _sin2_theta_alpha(pair, 3)).sign() > 0,
-        "K4": _exact_k1_verdict(pair, mirrored=True) and _exact_k_direct(pair, 4, g_val),
+        "K4": _exact_k1_verdict(s_mirror, a_mirror) and _exact_k_direct(n, g_val, k_vals[3]),
         "S_lt_1": sign_of_terms([(1, 1, 0), (-s_val.exact.frac, 1, s_val.pi_power)]) > 0,
         "A_ge_2": a_val.at_least_two,
-        "one_plus_S_lt_A": _exact_k1_verdict(pair, mirrored=False),
+        "one_plus_S_lt_A": one_plus_s_lt_a,
     }
 
     if any(verdicts[k] != exact_verdicts[k] for k in verdicts):
@@ -589,23 +527,11 @@ def solomon_comparison(m1: int, m2: int) -> SolomonReport:
     return SolomonReport(m1, m2, 4 * m1, dim_m2, cls, quotient)
 
 
-def ot_fkm_pairs(max_sum: int) -> list[tuple[int, int]]:
-    """Oriented Clifford-type pairs (m, k*delta(m)-m-1), both positive, sum bounded."""
-    pairs = []
-    for m in range(1, max_sum):
-        d = delta(m)
-        for k in range(1, (max_sum + 1) // d + 1):
-            m2 = k * d - m - 1
-            if m2 >= 1 and m + m2 <= max_sum:
-                pairs.append((m, m2))
-    return sorted(set(pairs), key=lambda ab: (ab[0] + ab[1], ab[0]))
-
-
 def solomon_undetermined(max_sum: int) -> list[tuple[int, int]]:
     """The Clifford pairs whose M2 classification is left undetermined."""
     return [
         (a, b)
-        for a, b in ot_fkm_pairs(max_sum)
+        for a, b in clifford_pairs(max_sum)
         if solomon_comparison(a, b).classification == "undetermined"
     ]
 

@@ -19,11 +19,3 @@ class SamplingError(RuntimeError):
 
 class DivergenceError(ValueError):
     """A requested integral diverges."""
-
-
-class ConnectivityError(RuntimeError):
-    """Neighborhood graph is disconnected (bandwidth too small)."""
-
-
-class NonConvergenceError(RuntimeError):
-    """Iterative eigensolver failed to converge within the iteration cap."""

@@ -13,8 +13,7 @@ Lap F = 8 (m2 - m1) |x|^2, which the tests exercise as independent oracles.
 
 Sampling is deterministic given (seed): one seeded generator drives the whole
 vectorized pass, so results do not depend on scheduling or thread counts.
-Densities are uniform-on-sphere push-forwards, not intrinsic-uniform; the
-spectral estimator applies its own density correction.
+Densities are uniform-on-sphere push-forwards, not intrinsic-uniform.
 """
 
 from __future__ import annotations
@@ -35,6 +34,7 @@ SCHEMA_VERSION = 1
 
 _LEVEL_TOL = 1e-10
 _FOCAL_GRAD_CUTOFF = 1e-8
+_MAX_ATTEMPTS = 50
 
 
 @dataclass(frozen=True)
@@ -246,6 +246,13 @@ def _unit_rows(x: np.ndarray) -> np.ndarray:
     return x / np.linalg.norm(x, axis=-1, keepdims=True)
 
 
+def _check_sampling_args(count, tol) -> None:
+    if not isinstance(count, (int, np.integer)) or count < 0:
+        raise ValueError(f"count must be an int >= 0, got {count!r}")
+    if not tol > 0:
+        raise ValueError(f"tol must be > 0, got {tol!r}")
+
+
 def sample_level_set(
     family: FKMFamily, t: float, count: int, seed: int, tol: float = _LEVEL_TOL
 ) -> PointCloud:
@@ -255,6 +262,7 @@ def sample_level_set(
     exact angle that carries its level onto t (the parallel map is exact on an
     isoparametric family), then polished by two Newton steps on f.
     """
+    _check_sampling_args(count, tol)
     if abs(t) >= 1.0 - 1e-6:
         raise NearFocalError(f"level t = {t} is too close to the focal values +-1")
     d = family.ambient_dim
@@ -314,6 +322,7 @@ def sample_focal_M1(
     geodesic and then Gauss-Newton-projected onto the constraint set; rows
     that fail to reach the residual tolerance are resampled.
     """
+    _check_sampling_args(count, tol)
     d = family.ambient_dim
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     if count == 0:
@@ -324,7 +333,7 @@ def sample_focal_M1(
     drawn = 0
     while filled < count:
         attempts += 1
-        if attempts > 50:
+        if attempts > _MAX_ATTEMPTS:
             raise SamplingError("M1 sampling failed to converge for more than half the draws")
         want = count - filled
         draw = _unit_rows(rng.standard_normal((want, d)))
@@ -354,6 +363,7 @@ def sample_focal_M2(
     For a unit c in R^{m+1}, P = sum c_i P_i satisfies P^2 = I; any unit x in
     its +1 eigenspace has sum_i <P_i x, x>^2 = 1, hence f(x) = -1 exactly.
     """
+    _check_sampling_args(count, tol)
     d = family.ambient_dim
     mats = _mats(family)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
@@ -361,7 +371,11 @@ def sample_focal_M2(
         return PointCloud(np.zeros((0, d)), "M2", seed, tol, _family_meta(family))
     out = np.zeros((count, d))
     filled = 0
+    attempts = 0
     while filled < count:
+        attempts += 1
+        if attempts > _MAX_ATTEMPTS:
+            raise SamplingError(f"M2 sampling filled only {filled} of {count} points")
         want = count - filled
         c = _unit_rows(rng.standard_normal((want, len(mats))))
         y = rng.standard_normal((want, d))

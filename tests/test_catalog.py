@@ -126,6 +126,48 @@ def _oracle_admissible(max_sum):
     return out
 
 
+def _three_family_admissible(max_sum):
+    """Reference: the homogeneous lists, (2,2), (4,5), (6,9), (7,8) and the FKM pairs, each enumerated.
+
+    Sorted by (m1+m2, m1) like ``admissible_pairs``.
+    """
+    found = set()
+
+    def add(a, b):
+        if a >= 1 and b >= 1 and a + b <= max_sum:
+            found.add((min(a, b), max(a, b)))
+
+    for k in range(1, max_sum + 1):
+        add(1, k)
+        add(2, 2 * k - 1)
+        add(4, 4 * k - 1)
+    add(2, 2)
+    add(4, 5)
+    add(6, 9)
+    add(7, 8)
+    for m in range(1, max_sum):
+        d = catalog.delta(m)
+        for k in range(1, (max_sum + 1) // d + 1):
+            add(m, k * d - m - 1)
+    return sorted(found, key=lambda ab: (ab[0] + ab[1], ab[0]))
+
+
+def test_admissible_pairs_match_three_family_enumeration():
+    # every bound up to 256, then a stride up to 2000 (all 1999 bounds take about a minute)
+    for bound in [*range(2, 257), *range(257, 2000, 97), 2000]:
+        got = [(p.m1, p.m2) for p in catalog.admissible_pairs(bound)]
+        assert got == _three_family_admissible(bound), bound
+
+
+def test_clifford_pairs_oriented_and_complete():
+    bound = 200
+    got = catalog.clifford_pairs(bound)
+    brute = [(a, s - a) for s in range(2, bound + 1) for a in range(1, s) if catalog.is_ot_fkm(a, s - a)]
+    assert got == brute  # brute is already in (m1+m2, m1) order
+    assert (4, 3) in got and (3, 4) in got  # both orientations of a pair can be FKM
+    assert (1, 3) in got and (3, 1) not in got  # delta(3) = 4 does not divide 3 + 1 + 1
+
+
 def test_admissible_pairs_bound_4():
     pairs = [(p.m1, p.m2) for p in catalog.admissible_pairs(4)]
     assert set(pairs) == {(1, 1), (1, 2), (2, 2), (1, 3)}

@@ -6,7 +6,7 @@ import pytest
 
 from isospectra import fkm
 from isospectra.catalog import pair_g4
-from isospectra.errors import InvalidPairError, NearFocalError
+from isospectra.errors import InvalidPairError, NearFocalError, SamplingError
 from isospectra.fkm import FKMFamily
 
 
@@ -151,6 +151,39 @@ def test_sample_level_set_empty_and_near_focal(fam11):
     assert empty.count == 0 and empty.points.shape == (0, 6)
     with pytest.raises(NearFocalError):
         fkm.sample_level_set(fam11, 0.9999999, 10, seed=0)
+
+
+SAMPLERS = {
+    "level": lambda fam, count, tol: fkm.sample_level_set(fam, 0.2, count, seed=0, tol=tol),
+    "M1": lambda fam, count, tol: fkm.sample_focal_M1(fam, count, seed=0, tol=tol),
+    "M2": lambda fam, count, tol: fkm.sample_focal_M2(fam, count, seed=0, tol=tol),
+}
+
+
+@pytest.mark.parametrize("which", SAMPLERS)
+def test_sampler_rejects_negative_count(fam11, which):
+    with pytest.raises(ValueError, match="count"):
+        SAMPLERS[which](fam11, -1, 1e-10)
+
+
+@pytest.mark.parametrize("which", SAMPLERS)
+def test_sampler_rejects_non_integer_count(fam11, which):
+    with pytest.raises(ValueError, match="count"):
+        SAMPLERS[which](fam11, 2.5, 1e-10)
+
+
+@pytest.mark.parametrize("which", SAMPLERS)
+def test_sampler_rejects_nonpositive_tol(fam11, which):
+    for tol in (0.0, -1.0, float("nan")):
+        with pytest.raises(ValueError, match="tol"):
+            SAMPLERS[which](fam11, 10, tol)
+
+
+def test_sample_focal_M2_attempt_cap(fam11, monkeypatch):
+    # no candidate ever lands on f = -1, so only the attempt cap ends the loop
+    monkeypatch.setattr(fkm, "eval_F", lambda family, x: np.zeros(len(x)))
+    with pytest.raises(SamplingError, match="M2"):
+        fkm.sample_focal_M2(fam11, 10, seed=0)
 
 
 def test_sample_determinism(fam11):

@@ -14,12 +14,14 @@ they compare are kept in closed form for as long as possible:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
 
+@functools.lru_cache(maxsize=1024)
 def _split_square(n: int) -> tuple[int, int]:
     """Return (s, r) with n = s*s*r and r square-free-ish (no square factor <= sqrt(n))."""
     if n < 0:

@@ -11,6 +11,12 @@ the extreme levels M1 = f^{-1}(1), M2 = f^{-1}(-1) are the focal
 submanifolds.  F satisfies |grad F|^2 = 16 |x|^6 and
 Lap F = 8 (m2 - m1) |x|^2, which the tests exercise as independent oracles.
 
+The Clifford relations P_i P_j + P_j P_i = 2 delta_ij I give
+<P_i x, P_j x> = delta_ij |x|^2, so one product x @ P_i per matrix yields
+r = |x|^2, q_i = <P_i x, x> and grad F = 4 r x - 8 sum_i q_i P_i x at once;
+F, the spherical gradient, the normal and every Newton or Gauss-Newton step
+derive from that one pass.
+
 Sampling is deterministic given (seed): one seeded generator drives the whole
 vectorized pass, so results do not depend on scheduling or thread counts.
 Densities are uniform-on-sphere push-forwards, not intrinsic-uniform.
@@ -43,7 +49,13 @@ class FKMFamily:
 
     system: CliffordSystem
     pair: MultiplicityPair
-    _float_mats: tuple[np.ndarray, ...] = field(repr=False, default=())
+    _float_mats: tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        mats = tuple(p.astype(np.float64) for p in self.system.matrices)
+        for p in mats:
+            p.setflags(write=False)
+        object.__setattr__(self, "_float_mats", mats)
 
     @property
     def ambient_dim(self) -> int:
@@ -65,7 +77,7 @@ class FKMFamily:
             raise InvalidPairError(
                 f"(m, k) = ({m}, {k}) gives m2 = {m2} <= 0; no isoparametric family"
             )
-        return FKMFamily(system, MultiplicityPair(4, m, m2), _as_float(system))
+        return FKMFamily(system, MultiplicityPair(4, m, m2))
 
     @staticmethod
     def from_pair(m1: int, m2: int) -> "FKMFamily":
@@ -78,19 +90,6 @@ class FKMFamily:
         return FKMFamily.from_representation(m1, k)
 
 
-def _as_float(system: CliffordSystem) -> tuple[np.ndarray, ...]:
-    out = []
-    for p in system.matrices:
-        q = p.astype(np.float64)
-        q.setflags(write=False)
-        out.append(q)
-    return tuple(out)
-
-
-def _mats(family: FKMFamily) -> tuple[np.ndarray, ...]:
-    return family._float_mats if family._float_mats else _as_float(family.system)
-
-
 def _check_dim(family: FKMFamily, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     if x.shape[-1] != family.ambient_dim:
@@ -98,10 +97,34 @@ def _check_dim(family: FKMFamily, x: np.ndarray) -> np.ndarray:
     return x
 
 
+def _forms_and_gradient(family: FKMFamily, x: np.ndarray):
+    """r = |x|^2, q_i = <P_i x, x> and grad F = 4 r x - 8 sum_i q_i P_i x.
+
+    One pass over the matrices, holding one product x @ P_i at a time.
+    """
+    mats = family._float_mats
+    r = np.sum(x * x, axis=-1)
+    q = np.empty(x.shape[:-1] + (len(mats),))
+    grad = 4.0 * r[..., None] * x
+    for i, p in enumerate(mats):
+        px = x @ p
+        qi = np.sum(px * x, axis=-1)
+        q[..., i] = qi
+        grad -= 8.0 * qi[..., None] * px
+    return r, q, grad
+
+
+def _level_and_tangent(family: FKMFamily, x: np.ndarray):
+    """F(x) and the spherical gradient grad F - 4 F(x) x, from one pass."""
+    r, q, grad = _forms_and_gradient(family, x)
+    f = r**2 - 2.0 * np.sum(q * q, axis=-1)
+    return f, grad - 4.0 * f[..., None] * x
+
+
 def quadratic_forms(family: FKMFamily, x) -> np.ndarray:
     """<P_i x, x> for i = 0..m, stacked along the last axis."""
     x = _check_dim(family, x)
-    return np.stack([np.sum((x @ p) * x, axis=-1) for p in _mats(family)], axis=-1)
+    return np.stack([np.sum((x @ p) * x, axis=-1) for p in family._float_mats], axis=-1)
 
 
 def eval_F(family: FKMFamily, x) -> np.ndarray | float:
@@ -115,21 +138,12 @@ def eval_F(family: FKMFamily, x) -> np.ndarray | float:
 
 def grad_F(family: FKMFamily, x) -> np.ndarray:
     """grad F = 4 |x|^2 x - 8 sum_i <P_i x, x> P_i x."""
-    x = _check_dim(family, x)
-    norm_sq = np.sum(x * x, axis=-1, keepdims=True)
-    out = 4.0 * norm_sq * x
-    for p in _mats(family):
-        px = x @ p
-        q = np.sum(px * x, axis=-1, keepdims=True)
-        out -= 8.0 * q * px
-    return out
+    return _forms_and_gradient(family, _check_dim(family, x))[2]
 
 
 def spherical_gradient(family: FKMFamily, x) -> np.ndarray:
     """Gradient of f = F|_sphere at unit x: grad F - 4 F(x) x (tangent to the sphere)."""
-    x = _check_dim(family, x)
-    f = np.asarray(eval_F(family, x))
-    return grad_F(family, x) - 4.0 * f[..., None] * x
+    return _level_and_tangent(family, _check_dim(family, x))[1]
 
 
 def unit_normal(family: FKMFamily, x) -> np.ndarray:
@@ -246,11 +260,49 @@ def _unit_rows(x: np.ndarray) -> np.ndarray:
     return x / np.linalg.norm(x, axis=-1, keepdims=True)
 
 
-def _check_sampling_args(count, tol) -> None:
+def _sample(family: FKMFamily, count, seed: int, tol, level, target: float, propose) -> PointCloud:
+    """The rejection loop of every sampler: keep the rows with |f - target| <= tol.
+
+    ``propose(rng, want)`` returns at most ``want`` candidate rows.  Sampling
+    fails after ``_MAX_ATTEMPTS`` batches, or once at least 2*count draws have
+    been made and more than half of them failed.
+    """
     if not isinstance(count, (int, np.integer)) or count < 0:
         raise ValueError(f"count must be an int >= 0, got {count!r}")
     if not tol > 0:
         raise ValueError(f"tol must be > 0, got {tol!r}")
+    name = level if isinstance(level, str) else f"level set f = {level}"
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    out = np.zeros((count, family.ambient_dim))
+    filled = 0
+    drawn = 0
+    attempts = 0
+    while filled < count:
+        attempts += 1
+        if attempts > _MAX_ATTEMPTS:
+            raise SamplingError(f"sampling {name} filled only {filled} of {count} points")
+        want = count - filled
+        cand = propose(rng, want)
+        drawn += want
+        resid = np.abs(np.asarray(eval_F(family, cand)) - target)
+        good = cand[resid <= tol]
+        out[filled : filled + good.shape[0]] = good
+        filled += good.shape[0]
+        if drawn >= 2 * count and filled < drawn // 2:
+            raise SamplingError(f"sampling {name} failed for more than half of {drawn} draws")
+    return PointCloud(out, level, seed, tol, _family_meta(family))
+
+
+def _transported_draws(family: FKMFamily, rng, want: int, theta: float) -> np.ndarray:
+    """Uniform sphere points moved along their normal geodesic to level cos(4 theta).
+
+    Draws within 1e-8 of a focal value, where the normal is undefined, are dropped.
+    """
+    draw = _unit_rows(rng.standard_normal((want, family.ambient_dim)))
+    f0, g = _level_and_tangent(family, draw)
+    ok = np.abs(f0) < 1.0 - 1e-8
+    move = np.arccos(f0[ok]) / 4.0 - theta
+    return np.cos(move)[:, None] * draw[ok] + np.sin(move)[:, None] * _unit_rows(g[ok])
 
 
 def sample_level_set(
@@ -260,56 +312,42 @@ def sample_level_set(
 
     Each uniform sphere point is transported along its normal geodesic by the
     exact angle that carries its level onto t (the parallel map is exact on an
-    isoparametric family), then polished by two Newton steps on f.
+    isoparametric family), then polished by two Newton steps on f; rows that
+    miss the tolerance are resampled.
     """
-    _check_sampling_args(count, tol)
     if abs(t) >= 1.0 - 1e-6:
         raise NearFocalError(f"level t = {t} is too close to the focal values +-1")
-    d = family.ambient_dim
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-    if count == 0:
-        return PointCloud(np.zeros((0, d)), t, seed, tol, _family_meta(family))
-    x = np.zeros((count, d))
-    filled = 0
-    while filled < count:
-        draw = _unit_rows(rng.standard_normal((count - filled, d)))
-        f0 = np.asarray(eval_F(family, draw))
-        good = np.abs(f0) < 1.0 - 1e-8
-        kept = draw[good]
-        x[filled : filled + kept.shape[0]] = kept
-        filled += kept.shape[0]
-    f0 = np.asarray(eval_F(family, x))
-    move = np.arccos(f0) / 4.0 - level_angle(t)
-    xi = unit_normal(family, x)
-    x = np.cos(move)[:, None] * x + np.sin(move)[:, None] * xi
-    for _ in range(2):
-        x = _unit_rows(x)
-        g = spherical_gradient(family, x)
-        f = np.asarray(eval_F(family, x))
-        step = (t - f) / np.maximum(np.sum(g * g, axis=-1), 1e-30)
-        x = x + step[:, None] * g
-    x = _unit_rows(x)
-    resid = np.abs(np.asarray(eval_F(family, x)) - t)
-    if resid.size and resid.max() > tol:
-        raise SamplingError(f"level residual {resid.max():.3e} exceeds tolerance {tol:.1e}")
-    return PointCloud(x, t, seed, tol, _family_meta(family))
+    theta = level_angle(t)
+
+    def propose(rng, want):
+        x = _transported_draws(family, rng, want, theta)
+        for _ in range(2):
+            x = _unit_rows(x)
+            f, g = _level_and_tangent(family, x)
+            step = (t - f) / np.maximum(np.sum(g * g, axis=-1), 1e-30)
+            x = x + step[:, None] * g
+        return _unit_rows(x)
+
+    return _sample(family, count, seed, tol, t, t, propose)
 
 
 def _gauss_newton_focal(family: FKMFamily, x: np.ndarray, iters: int = 4) -> np.ndarray:
-    """Project rows of x onto {<P_i x, x> = 0 for all i, |x| = 1}.
+    """Project rows of x onto M1 = {<P_i x, x> = 0 for all i, |x| = 1}.
 
-    The constraint gradients {2 P_i x, 2 x} are mutually orthogonal near M1,
-    so the Gauss-Newton normal matrix stays well-conditioned and convergence
-    is quadratic.
+    The constraint gradients are 2 P_i x and 2 x, so by the Clifford relations
+    the Gauss-Newton normal matrix is exactly 4 [[r I, q], [q^T, r]].  Its
+    minimum-norm step is x <- x - ((1 - z) w / r + z x) / 2, with s = |q|^2,
+    z = (r (r - 1) - s) / (r^2 - s) and w = sum_i q_i P_i x = (4 r x - grad F) / 8.
+    The matrix is singular only where r^2 - s = r^2 (1 + f) / 2 vanishes, on
+    M2; near M1 (q ~ 0, r ~ 1) it is close to 4 I, so the step is well
+    conditioned and convergence is quadratic.
     """
-    mats = _mats(family)
     for _ in range(iters):
-        rows = np.stack([x @ p for p in mats] + [x], axis=1)  # (N, m+2, d)
-        resid = np.einsum("nkd,nd->nk", rows, x)
-        resid[:, -1] -= 1.0
-        gram = 4.0 * np.einsum("nkd,njd->nkj", rows, rows)
-        y = np.linalg.solve(gram, resid[..., None])[..., 0]
-        x = x - 2.0 * np.einsum("nkd,nk->nd", rows, y)
+        r, q, grad = _forms_and_gradient(family, x)
+        s = np.sum(q * q, axis=-1)
+        z = (r * (r - 1.0) - s) / (r * r - s)
+        w = (4.0 * r[:, None] * x - grad) / 8.0
+        x = x - 0.5 * (((1.0 - z) / r)[:, None] * w + z[:, None] * x)
     return x
 
 
@@ -322,37 +360,11 @@ def sample_focal_M1(
     geodesic and then Gauss-Newton-projected onto the constraint set; rows
     that fail to reach the residual tolerance are resampled.
     """
-    _check_sampling_args(count, tol)
-    d = family.ambient_dim
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-    if count == 0:
-        return PointCloud(np.zeros((0, d)), "M1", seed, tol, _family_meta(family))
-    out = np.zeros((count, d))
-    filled = 0
-    attempts = 0
-    drawn = 0
-    while filled < count:
-        attempts += 1
-        if attempts > _MAX_ATTEMPTS:
-            raise SamplingError("M1 sampling failed to converge for more than half the draws")
-        want = count - filled
-        draw = _unit_rows(rng.standard_normal((want, d)))
-        drawn += want
-        f0 = np.asarray(eval_F(family, draw))
-        ok = np.abs(f0) < 1.0 - 1e-8
-        draw, f0 = draw[ok], f0[ok]
-        move = np.arccos(f0) / 4.0
-        xi = unit_normal(family, draw)
-        cand = np.cos(move)[:, None] * draw + np.sin(move)[:, None] * xi
-        cand = _gauss_newton_focal(family, cand)
-        cand = _unit_rows(cand)
-        resid = np.abs(np.asarray(eval_F(family, cand)) - 1.0)
-        good = cand[resid <= tol]
-        out[filled : filled + good.shape[0]] = good
-        filled += good.shape[0]
-        if drawn >= 2 * count and filled < drawn // 2:
-            raise SamplingError("M1 projection failure rate exceeded 50%")
-    return PointCloud(out, "M1", seed, tol, _family_meta(family))
+
+    def propose(rng, want):
+        return _unit_rows(_gauss_newton_focal(family, _transported_draws(family, rng, want, 0.0)))
+
+    return _sample(family, count, seed, tol, "M1", 1.0, propose)
 
 
 def sample_focal_M2(
@@ -363,34 +375,20 @@ def sample_focal_M2(
     For a unit c in R^{m+1}, P = sum c_i P_i satisfies P^2 = I; any unit x in
     its +1 eigenspace has sum_i <P_i x, x>^2 = 1, hence f(x) = -1 exactly.
     """
-    _check_sampling_args(count, tol)
-    d = family.ambient_dim
-    mats = _mats(family)
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-    if count == 0:
-        return PointCloud(np.zeros((0, d)), "M2", seed, tol, _family_meta(family))
-    out = np.zeros((count, d))
-    filled = 0
-    attempts = 0
-    while filled < count:
-        attempts += 1
-        if attempts > _MAX_ATTEMPTS:
-            raise SamplingError(f"M2 sampling filled only {filled} of {count} points")
-        want = count - filled
+    mats = family._float_mats
+
+    def propose(rng, want):
         c = _unit_rows(rng.standard_normal((want, len(mats))))
-        y = rng.standard_normal((want, d))
+        y = rng.standard_normal((want, family.ambient_dim))
         py = np.zeros_like(y)
         for i, p in enumerate(mats):
             py += c[:, i : i + 1] * (y @ p)
         cand = y + py
         norms = np.linalg.norm(cand, axis=-1)
         ok = norms > 1e-6
-        cand = cand[ok] / norms[ok, None]
-        resid = np.abs(np.asarray(eval_F(family, cand)) + 1.0)
-        good = cand[resid <= tol]
-        out[filled : filled + good.shape[0]] = good
-        filled += good.shape[0]
-    return PointCloud(out, "M2", seed, tol, _family_meta(family))
+        return cand[ok] / norms[ok, None]
+
+    return _sample(family, count, seed, tol, "M2", -1.0, propose)
 
 
 # -- shape operator ----------------------------------------------------------------

@@ -128,6 +128,90 @@ def test_spherical_gradient_vanishes_on_focal(fam11):
     assert np.linalg.norm(g, axis=1).max() < 1e-6
 
 
+# -- one-pass kernel against the two-pass and solve-based references ------------------
+
+
+def _reference_spherical_gradient(family, x):
+    """grad F from its own loop over the matrices, then F from a second pass."""
+    out = 4.0 * np.sum(x * x, axis=-1, keepdims=True) * x
+    for p in family.system.matrices:
+        px = x @ p
+        out -= 8.0 * np.sum(px * x, axis=-1, keepdims=True) * px
+    return out - 4.0 * fkm.eval_F(family, x)[:, None] * x
+
+
+def _reference_gauss_newton(family, x, iters=4):
+    """Gauss-Newton onto M1 with the normal matrix built and solved numerically."""
+    mats = [p.astype(np.float64) for p in family.system.matrices]
+    for _ in range(iters):
+        rows = np.stack([x @ p for p in mats] + [x], axis=1)  # (N, m+2, d)
+        resid = np.einsum("nkd,nd->nk", rows, x)
+        resid[:, -1] -= 1.0
+        gram = 4.0 * np.einsum("nkd,njd->nkj", rows, rows)
+        y = np.linalg.solve(gram, resid[..., None])[..., 0]
+        x = x - 2.0 * np.einsum("nkd,nk->nd", rows, y)
+    return x
+
+
+def _toward_M1(family, count, seed, share):
+    """Unit sphere points moved along their normal geodesic by share * (distance to M1)."""
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((count, family.ambient_dim))
+    x /= np.linalg.norm(x, axis=1, keepdims=True)
+    move = share * np.arccos(fkm.eval_F(family, x)) / 4.0
+    xi = fkm.unit_normal(family, x)
+    return np.cos(move)[:, None] * x + np.sin(move)[:, None] * xi
+
+
+@pytest.fixture(scope="module")
+def kernel_families(fam11, fam43):
+    return [fam11, fam43, FKMFamily.from_pair(9, 22)]
+
+
+def test_kernel_matches_references(kernel_families):
+    for fam in kernel_families:
+        for share in (1.0, 0.5):
+            x = _toward_M1(fam, 200, 23, share)
+            assert np.abs(fkm.spherical_gradient(fam, x) - _reference_spherical_gradient(fam, x)).max() < 1e-12
+            for iters in (1, 4):
+                got = fkm._gauss_newton_focal(fam, x, iters)
+                assert np.abs(got - _reference_gauss_newton(fam, x, iters)).max() < 1e-12
+
+
+def test_gauss_newton_gram_identity(kernel_families):
+    # the closed-form step rests on Gram([P_0 x .. P_m x, x]) = [[r I, q], [q^T, r]]
+    rng = np.random.default_rng(24)
+    for fam in kernel_families:
+        x = rng.standard_normal((50, fam.ambient_dim)) * rng.uniform(0.5, 2.0, size=(50, 1))
+        rows = np.stack([x @ p for p in fam.system.matrices] + [x], axis=1)
+        gram = np.einsum("nkd,njd->nkj", rows, rows)
+        r = (x * x).sum(axis=1)
+        q = fkm.quadratic_forms(fam, x)
+        k = q.shape[1]
+        expected = np.zeros_like(gram)
+        expected[:, np.arange(k + 1), np.arange(k + 1)] = r[:, None]
+        expected[:, :k, k] = expected[:, k, :k] = q
+        assert np.abs(gram - expected).max() / r.max() < 1e-12
+
+
+def test_one_pass_over_the_matrices_per_step(fam43, monkeypatch):
+    passes = []
+    kernel = fkm._forms_and_gradient
+
+    def counting(family, x):
+        passes.append(1)
+        return kernel(family, x)
+
+    monkeypatch.setattr(fkm, "_forms_and_gradient", counting)
+    x = _toward_M1(fam43, 10, 25, 1.0)
+    passes.clear()
+    fkm.spherical_gradient(fam43, x)
+    assert len(passes) == 1
+    passes.clear()
+    fkm._gauss_newton_focal(fam43, x, iters=4)
+    assert len(passes) == 4
+
+
 def test_f_bounded_by_one(fam11):
     rng = np.random.default_rng(6)
     x = rng.standard_normal((100_000, fam11.ambient_dim))
@@ -179,11 +263,14 @@ def test_sampler_rejects_nonpositive_tol(fam11, which):
             SAMPLERS[which](fam11, 10, tol)
 
 
-def test_sample_focal_M2_attempt_cap(fam11, monkeypatch):
-    # no candidate ever lands on f = -1, so only the attempt cap ends the loop
-    monkeypatch.setattr(fkm, "eval_F", lambda family, x: np.zeros(len(x)))
-    with pytest.raises(SamplingError, match="M2"):
-        fkm.sample_focal_M2(fam11, 10, seed=0)
+@pytest.mark.parametrize("which", SAMPLERS)
+def test_sampler_attempt_cap(fam11, monkeypatch, which):
+    # every candidate reads as the focal value opposite to the target, so only
+    # the attempt and failure-rate policy ends the loop
+    opposite, name = {"level": (1.0, "level set"), "M1": (-1.0, "M1"), "M2": (1.0, "M2")}[which]
+    monkeypatch.setattr(fkm, "eval_F", lambda family, x: np.full(len(x), opposite))
+    with pytest.raises(SamplingError, match=name):
+        SAMPLERS[which](fam11, 10, 1e-10)
 
 
 def test_sample_determinism(fam11):

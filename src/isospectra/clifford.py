@@ -13,8 +13,9 @@ in their minimal dimensions 2, 4, 8, extended by the 16-fold periodicity
 E -> {G_i x I, omega x A_j} where G_1..G_8 generate on R^16 and
 omega = G_1...G_8 is the (symmetric, involutive) volume element.
 
-All matrices are signed permutation matrices; every identity is checked in
-integer arithmetic, no floating point anywhere.
+All matrices are signed permutation matrices.  ``verify_system`` checks every
+identity by composing them as (perm, sign) index arrays: integer arithmetic,
+O(m^2 d) after an O(d^2) read of each matrix, no floating point anywhere.
 """
 
 from __future__ import annotations
@@ -150,26 +151,6 @@ def _skew_generators(count: int) -> tuple[tuple[np.ndarray, ...], int]:
 
 
 @dataclass(frozen=True)
-class SkewRepresentation:
-    """Anticommuting orthogonal skew matrices E_i E_j + E_j E_i = -2 delta_ij I."""
-
-    matrices: tuple[np.ndarray, ...]
-    dim: int
-
-    def verify(self) -> bool:
-        eye = np.eye(self.dim, dtype=np.int64)
-        for i, e in enumerate(self.matrices):
-            if not np.array_equal(e.T, -e):
-                return False
-            for j in range(i, len(self.matrices)):
-                f = self.matrices[j]
-                target = -2 * eye if i == j else 0 * eye
-                if not np.array_equal(e @ f + f @ e, target):
-                    return False
-        return True
-
-
-@dataclass(frozen=True)
 class CliffordSystem:
     """m+1 symmetric matrices on R^{2l} with P_i P_j + P_j P_i = 2 delta_ij I."""
 
@@ -193,10 +174,15 @@ class CliffordSystem:
     @staticmethod
     def from_json(text: str) -> "CliffordSystem":
         data = json.loads(text)
+        if data.get("schema_version") != SCHEMA_VERSION:
+            raise ValueError(f"Clifford JSON schema_version must be {SCHEMA_VERSION}")
+        n = 2 * data["l"]
         mats = []
         for trips in data["matrices"]:
-            p = np.zeros((2 * data["l"], 2 * data["l"]), dtype=np.int64)
+            p = np.zeros((n, n), dtype=np.int64)
             for r, c, v in trips:
+                if not (isinstance(r, int) and isinstance(c, int) and 0 <= r < n and 0 <= c < n):
+                    raise ValueError(f"triplet index ({r}, {c}) is not an integer in [0, {n})")
                 p[r, c] = v
             mats.append(p)
         return CliffordSystem(data["m"], data["l"], _freeze(mats))
@@ -211,16 +197,6 @@ def _freeze(mats) -> tuple[np.ndarray, ...]:
     return tuple(out)
 
 
-def skew_representation(count: int, copies: int = 1) -> SkewRepresentation:
-    """``count`` generators on R^{copies * mindim}, block-diagonal copies."""
-    gens, dim = _skew_generators(count)
-    if copies < 1:
-        raise ValueError("copies must be >= 1")
-    eye = np.eye(copies, dtype=np.int64)
-    mats = _freeze([np.kron(eye, g) for g in gens])
-    return SkewRepresentation(mats, copies * dim)
-
-
 def build_system(m: int, k: int) -> CliffordSystem:
     """Symmetric Clifford system with m+1 matrices on R^{2l}, l = k*delta(m).
 
@@ -232,11 +208,12 @@ def build_system(m: int, k: int) -> CliffordSystem:
         raise ValueError(f"m must be >= 1, got {m}")
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    rep = skew_representation(m - 1, copies=k)
+    gens, dim = _skew_generators(m - 1)
     l = k * delta(m)
-    if rep.dim != l:
-        raise AssertionError(f"generator dimension {rep.dim} != k*delta(m) = {l}")
-    mats = _freeze(_block_system(list(rep.matrices), l))
+    if k * dim != l:
+        raise AssertionError(f"generator dimension {k * dim} != k*delta(m) = {l}")
+    eye = np.eye(k, dtype=np.int64)  # k block-diagonal copies of each generator
+    mats = _freeze(_block_system([np.kron(eye, g) for g in gens], l))
     return CliffordSystem(m=m, l=l, matrices=mats)
 
 
@@ -256,35 +233,61 @@ class VerificationReport:
         return self.failures[0] if self.failures else None
 
 
+def _signed_permutation(p: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """``(perm, sign)`` with ``p[r, perm[r]] = sign[r]``, or None if p is no signed permutation."""
+    ident = np.arange(len(p))
+    perm = np.abs(p).argmax(axis=1) if len(p) else ident
+    sign = p[ident, perm]
+    # each row's largest entry is +-1 and there are no other nonzeros
+    if not ((np.abs(sign) == 1).all() and np.count_nonzero(p) == len(p)):
+        return None
+    return (perm, sign) if np.array_equal(np.sort(perm), ident) else None
+
+
 def verify_system(system: CliffordSystem) -> VerificationReport:
     """Exact integer check of all Clifford-system identities.
 
-    Checks, in order: entries in {-1, 0, 1}; symmetry; zero trace;
-    P_i P_j + P_j P_i = 2 delta_ij I for all 0 <= i <= j <= m.  A degenerate
-    single-matrix system (m = 0) is accepted when P_0^2 = I.
+    Checks, in order: m + 1 matrices; each P_i of shape (2l, 2l), a signed
+    permutation, symmetric, of zero trace; P_i P_j + P_j P_i = 2 delta_ij I
+    for all 0 <= i <= j.  A degenerate single-matrix system (m = 0) is
+    accepted when P_0^2 = I.  Each P_i is read once, in O(d^2), into
+    ``(perm, sign)``; the identities are then index arithmetic, O(m^2 d) in
+    all, with no matrix product.  Pairs with a matrix already reported as
+    misshapen or no signed permutation are skipped but still counted.
     """
     mats = system.matrices
     n = system.ambient_dim
-    eye = np.eye(n, dtype=np.int64)
+    ident = np.arange(n)
     failures: list[str] = []
-    checks = 0
+    if len(mats) != system.m + 1:
+        failures.append(f"expected m + 1 = {system.m + 1} matrices, got {len(mats)}")
+    forms = []
     for i, p in enumerate(mats):
-        checks += 1
+        form = None
         if p.shape != (n, n):
             failures.append(f"P_{i} has shape {p.shape}, expected {(n, n)}")
-            continue
-        if np.abs(p).max(initial=0) > 1:
-            failures.append(f"P_{i} has entries outside {{-1,0,1}}")
-        if not np.array_equal(p, p.T):
-            failures.append(f"P_{i} is not symmetric")
-        if int(np.trace(p)) != 0:
-            failures.append(f"P_{i} has nonzero trace {int(np.trace(p))}")
-    for i in range(len(mats)):
-        for j in range(i, len(mats)):
-            checks += 1
-            anti = mats[i] @ mats[j] + mats[j] @ mats[i]
-            target = 2 * eye if i == j else np.zeros_like(eye)
-            if not np.array_equal(anti, target):
+        elif (form := _signed_permutation(p)) is None:
+            failures.append(f"P_{i} is not a signed permutation")
+        else:
+            perm, sign = form
+            if not (np.array_equal(perm[perm], ident) and np.array_equal(sign[perm], sign)):
+                failures.append(f"P_{i} is not symmetric")
+            trace = int(sign[perm == ident].sum())
+            if trace != 0:
+                failures.append(f"P_{i} has nonzero trace {trace}")
+        forms.append(form)
+    for i in range(len(forms)):
+        for j in range(i, len(forms)):
+            if forms[i] is None or forms[j] is None:
+                continue
+            (pi, si), (pj, sj) = forms[i], forms[j]
+            # P_i P_j is the signed permutation (pj[pi], si * sj[pi])
+            if i == j:
+                holds = np.array_equal(pi[pi], ident) and bool((si * si[pi] == 1).all())
+            else:
+                holds = np.array_equal(pj[pi], pi[pj]) and np.array_equal(si * sj[pi], -sj * si[pj])
+            if not holds:
                 kind = "square" if i == j else "anticommutator"
                 failures.append(f"{kind} identity violated at (P_{i}, P_{j})")
+    checks = len(mats) * (len(mats) + 3) // 2  # one per matrix, one per pair i <= j
     return VerificationReport(passed=not failures, checks=checks, failures=tuple(failures))

@@ -142,9 +142,6 @@ class Surd:
     def __ge__(self, other):
         return self._cmp(other) >= 0
 
-    def is_zero(self) -> bool:
-        return self.rational == 0 and self.coef == 0
-
 
 @dataclass(frozen=True)
 class PiRational:
@@ -167,19 +164,6 @@ class PiRational:
         if isinstance(other, PiRational):
             return PiRational(self.frac / other.frac, self.half_pi - other.half_pi)
         return PiRational(self.frac / Fraction(other), self.half_pi)
-
-    def __add__(self, other):
-        if isinstance(other, PiRational) and other.half_pi == self.half_pi:
-            return PiRational(self.frac + other.frac, self.half_pi)
-        if isinstance(other, PiRational) and other.frac == 0:
-            return self
-        if self.frac == 0 and isinstance(other, PiRational):
-            return other
-        raise ValueError("cannot add PiRationals with different pi powers")
-
-    @property
-    def pi_power(self) -> Fraction:
-        return Fraction(self.half_pi, 2)
 
 
 def gamma_half(two_x: int) -> PiRational:

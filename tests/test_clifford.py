@@ -1,9 +1,10 @@
+import json
+
 import numpy as np
 import pytest
 
-from isospectra import clifford
 from isospectra.catalog import delta
-from isospectra.clifford import CliffordSystem, build_system, skew_representation, verify_system
+from isospectra.clifford import CliffordSystem, VerificationReport, build_system, verify_system
 
 
 def _valid_small_params():
@@ -59,13 +60,13 @@ def test_all_small_systems_verify():
 
 
 def test_periodicity_dimensions_and_verification():
-    # m = 9 exercises the 16-fold periodicity tensor step
-    sys = build_system(9, 1)
-    assert sys.l == 16 and sys.ambient_dim == 32
-    assert verify_system(sys).passed
-    sys = build_system(12, 1)
-    assert sys.l == 64 and sys.ambient_dim == 128
-    assert verify_system(sys).passed
+    # m = 9 exercises the 16-fold periodicity tensor step; m = 17 (d = 512)
+    # is the smallest m that runs it twice
+    for m, l in [(9, 16), (10, 32), (12, 64), (16, 128), (17, 256)]:
+        sys = build_system(m, 1)
+        assert sys.l == l and sys.ambient_dim == 2 * l
+        assert len(sys.matrices) == m + 1
+        assert verify_system(sys).passed, m
 
 
 def test_entries_are_signed_permutations():
@@ -76,13 +77,6 @@ def test_entries_are_signed_permutations():
             assert (np.abs(p).sum(axis=0) == 1).all()
             assert (np.abs(p).sum(axis=1) == 1).all()
             assert int(np.trace(p)) == 0
-
-
-def test_skew_representation_identities():
-    for count in (0, 1, 2, 3, 5, 7, 8, 9):
-        rep = skew_representation(count)
-        assert len(rep.matrices) == count
-        assert rep.verify()
 
 
 def test_degenerate_single_matrix_accepted():
@@ -97,6 +91,28 @@ def test_corrupted_system_fails_at_duplicate_index():
     report = verify_system(corrupted)
     assert not report.passed
     assert any("(P_0, P_1)" in f for f in report.failures)
+
+
+def test_wrong_shape_reported():
+    sys = build_system(2, 1)
+    bad = np.eye(3, dtype=np.int64)
+    report = verify_system(CliffordSystem(sys.m, sys.l, (*sys.matrices[:2], bad)))
+    assert not report.passed
+    assert report.failures == ("P_2 has shape (3, 3), expected (4, 4)",)
+    assert report.checks == 3 + 6
+
+
+def test_wrong_matrix_count_reported():
+    sys = build_system(2, 1)
+    for system in (
+        CliffordSystem(2, sys.l, sys.matrices[:2]),
+        CliffordSystem(5, sys.l, sys.matrices),
+    ):
+        report = verify_system(system)
+        assert not report.passed
+        expected = f"expected m + 1 = {system.m + 1} matrices, got {len(system.matrices)}"
+        assert report.failures == (expected,)
+        assert report.checks == _reference_verify(system).checks
 
 
 def test_wrong_trace_reported():
@@ -126,6 +142,107 @@ def test_json_round_trip():
     assert back.m == sys.m and back.l == sys.l
     for p, q in zip(sys.matrices, back.matrices):
         assert np.array_equal(p, q)
+
+
+def test_from_json_rejects_bad_input():
+    data = json.loads(build_system(2, 1).to_json())
+    for version in (99, None):
+        with pytest.raises(ValueError, match="schema_version"):
+            CliffordSystem.from_json(json.dumps({**data, "schema_version": version}))
+    for bad in ([-4, 0, 1], [0, -1, 1], [4, 0, 1], [0, 99, 1], [1.5, 0, 1]):
+        trips = [data["matrices"][0] + [bad], *data["matrices"][1:]]
+        with pytest.raises(ValueError, match="not an integer in"):
+            CliffordSystem.from_json(json.dumps({**data, "matrices": trips}))
+
+
+def _reference_verify(system: CliffordSystem) -> VerificationReport:
+    """The dense verifier: every identity by int64 matrix products, O(m^2 d^3)."""
+    mats = system.matrices
+    n = system.ambient_dim
+    eye = np.eye(n, dtype=np.int64)
+    failures: list[str] = []
+    checks = 0
+    for i, p in enumerate(mats):
+        checks += 1
+        if p.shape != (n, n):
+            failures.append(f"P_{i} has shape {p.shape}, expected {(n, n)}")
+            continue
+        if np.abs(p).max(initial=0) > 1:
+            failures.append(f"P_{i} has entries outside {{-1,0,1}}")
+        if not np.array_equal(p, p.T):
+            failures.append(f"P_{i} is not symmetric")
+        if int(np.trace(p)) != 0:
+            failures.append(f"P_{i} has nonzero trace {int(np.trace(p))}")
+    for i in range(len(mats)):
+        for j in range(i, len(mats)):
+            checks += 1
+            anti = mats[i] @ mats[j] + mats[j] @ mats[i]
+            target = 2 * eye if i == j else np.zeros_like(eye)
+            if not np.array_equal(anti, target):
+                kind = "square" if i == j else "anticommutator"
+                failures.append(f"{kind} identity violated at (P_{i}, P_{j})")
+    return VerificationReport(passed=not failures, checks=checks, failures=tuple(failures))
+
+
+def _corruptions(sys: CliffordSystem, rng: np.random.Generator):
+    """Five corrupted copies of ``sys``, each with one matrix changed."""
+    n = sys.ambient_dim
+    i = int(rng.integers(len(sys.matrices)))
+    r, s = (int(v) for v in rng.choice(n, size=2, replace=False))
+    c = int(np.flatnonzero(sys.matrices[i][r])[0])
+
+    def swap_in(p):
+        return CliffordSystem(sys.m, sys.l, (*sys.matrices[:i], p, *sys.matrices[i + 1 :]))
+
+    flipped, two, swapped, zeroed = (sys.matrices[i].copy() for _ in range(4))
+    flipped[r, c] = -flipped[r, c]
+    two[r, c] = 2
+    swapped[[r, s]] = swapped[[s, r]]
+    zeroed[r] = 0
+    neighbour = sys.matrices[i - 1] if i > 0 else sys.matrices[1]
+    return [swap_in(p) for p in (flipped, two, neighbour, swapped, zeroed)]
+
+
+def _is_signed_permutation(p: np.ndarray) -> bool:
+    a = np.abs(p)
+    one_per_line = (a.sum(axis=0) == 1).all() and (a.sum(axis=1) == 1).all()
+    return set(np.unique(p)) <= {-1, 0, 1} and bool(one_per_line)
+
+
+def test_verify_matches_dense_reference():
+    rng = np.random.default_rng(20261018)
+    cases = [(m, k) for m in range(1, 13) for k in (1, 2) if 2 * k * delta(m) <= 128]
+    assert len(cases) == 22
+    for m, k in cases:
+        sys = build_system(m, k)
+        for system in [sys, *_corruptions(sys, rng)]:
+            got, want = verify_system(system), _reference_verify(system)
+            assert got.passed == (system is sys), (m, k)
+            assert (got.passed, got.checks) == (want.passed, want.checks), (m, k)
+            if all(_is_signed_permutation(p) for p in system.matrices):
+                assert got.failures == want.failures, (m, k)
+
+
+def test_not_signed_permutation_reported():
+    # P_2 on R^8 with any one entry set to 1 (if zero) or 2, or any row duplicated
+    sys = build_system(4, 1)
+    n = sys.ambient_dim
+    variants = []
+    for r in range(n):
+        for c in range(n):
+            variants.append(sys.matrices[2].copy())
+            variants[-1][r, c] = 2 if variants[-1][r, c] else 1
+            if c != r:
+                variants.append(sys.matrices[2].copy())
+                variants[-1][c] = variants[-1][r]
+    assert len(variants) == n * n + n * (n - 1)
+    for p in variants:
+        assert not _is_signed_permutation(p)
+        system = CliffordSystem(sys.m, sys.l, (*sys.matrices[:2], p, *sys.matrices[3:]))
+        report = verify_system(system)
+        assert report.failures == ("P_2 is not a signed permutation",)
+        assert report.checks == _reference_verify(system).checks
+        assert not _reference_verify(system).passed
 
 
 def test_build_system_domain_errors():

@@ -5,7 +5,10 @@ Modules by concern:
 * ``catalog``       admissible multiplicity pairs, dimensions, angles, known facts
 * ``clifford``      exact symmetric Clifford systems on R^{2l}
 * ``fkm``           the Clifford quartic, level-set/focal sampling, shape operators
-* ``certificates``  high-precision verification of the eigenvalue inequality chain
+* ``certificates``  the eigenvalue inequality chain, decided by integer inequalities
+                    and cross-checked in floating point
+* ``exact``         quadratic surds; exact half-integer Gamma/Beta and sign decisions,
+                    kept as the oracle the certificates are tested against
 """
 
 __version__ = "0.1.0"

@@ -1,39 +1,51 @@
-"""High-precision verification of the first-eigenvalue inequality chain.
+"""Verification of the first-eigenvalue inequality chain for g=4 pairs.
 
-For a g=4 pair (m1, m2) with minimal angle theta_1 and n = 2(m1+m2), the
-quantities in play are
+For a g=4 pair (m1, m2) with minimal angle theta_1, s = m1+m2 and n = 2s,
+the quantities in play are
 
     G       = int_0^{pi/2} sin^m1(x) cos^m2(x) dx = B((m1+1)/2, (m2+1)/2) / 2
     K_alpha = sin^2(theta_alpha) *
               int_0^{pi/4} sin^m1(2x) cos^m2(2x) / sin^2((alpha-1)pi/4 + x) dx
-    S       = Gamma((m2+2)/2) Gamma((m1+m2)/2) /
-              (Gamma((m2+1)/2) Gamma((m1+m2+1)/2))
-    A       = ((n+2)/n) * ((m1-1)/(m1+m2)) / sin^2(theta_1)
+    S       = Gamma((m2+2)/2) Gamma(s/2) / (Gamma((m2+1)/2) Gamma((s+1)/2))
+    A       = ((n+2)/n) * ((m1-1)/s) / sin^2(theta_1)
 
 and the chain to verify is K_alpha < (n+2) G / n for every alpha, which for
 alpha = 1 is equivalent to 1 + S < A (alpha = 4 is the mirror image with the
-multiplicities swapped).  When min(m1, m2) >= 2, S < 1 and A >= 2, so the
-chain holds; certificates decide every verdict twice (float quadrature path and
-exact surd/rational/pi path) and refuse to report a verdict whose margin is
-smaller than the numerical error bound.  Each quantity (G, K_1..K_4, S and A
-of the pair and of its mirror) is computed once per certificate and both
-paths read it from there.  The quadrature tolerance is relative only, so the
-error bounds scale with G and K_alpha however small they get.
+multiplicities swapped).  For alpha = 2, 3 the denominator is at least 1/2,
+so K_alpha <= sin^2(theta_alpha) G < G.
 
-Every Gamma/Beta argument that occurs is a half-integer, so the exact path is
-pure rational arithmetic times powers of pi and sqrt(m2(m1+m2)); sign
-decisions on such sums are exact (see ``exact.sign_of_terms``).
+Each verdict is decided twice.  The exact route uses integer inequalities
+only, O(1) work at any size:
+
+* S < 1 from Wendel's inequality x/sqrt(x+1/2) <= Gamma(x+1/2)/Gamma(x) <=
+  sqrt(x) (Amer. Math. Monthly 55 (1948) 563-564), which gives
+  S^2 <= (m2+1)(s+1)/s^2, below 1 exactly when (m2+1)(s+1) < s^2;
+* A >= 2 exactly when m2 s^3 >= (m2 s + m2 + 1)^2;
+* K_1 (and 1 + S < A) when both hold, since then 1 + S < 2 <= A; K_4 by the
+  same test on the swapped pair; K_2 and K_3 when sin^2(theta_alpha) < 1,
+  i.e. m_i < s.
+
+Both integer tests hold for every m1 >= 2 (the differences are
+(m1-1)s - m2 - 1 and m2((m1-2)s^2 + (2m1-3)s + m1-2) - 1).  The float route
+evaluates G, K_1, K_4 and S from ``math.lgamma`` closed forms, A from a
+square root, and K_2, K_3 by quadrature; it must agree with the exact route
+and refuses a verdict whose margin is within its error bound.  G and K_1..K_4
+are also integrated numerically once each (``quad``, adaptive Gauss-Legendre
+in numpy), and ``dual_agreement`` reports how far quadrature and closed form
+are apart.  The quadrature tolerance is relative only, so its error bounds
+scale with G and K_alpha however small they get.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from io import StringIO
 
-from scipy.integrate import quad
+import numpy as np
 
 from .catalog import (
     MultiplicityPair,
@@ -46,68 +58,135 @@ from .catalog import (
     sin2_theta1_triplet,
 )
 from .errors import DivergenceError, UnsupportedCaseError
-from .exact import PiRational, Surd, beta_half, gamma_half, sign_of_terms
+# perfbench/tracing.py wraps these by name in this module; no certificate calls them
+from .exact import beta_half, gamma_half, sign_of_terms  # noqa: F401
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
-# float values derived from exact closed forms are correct to a few ulp
-_EXACT_FLOAT_REL_ERR = 5e-15
-_QUAD_OPTS = dict(epsabs=0.0, epsrel=1e-12, limit=200)
+_EPS = sys.float_info.epsilon
+_QUAD_OPTS = dict(epsrel=1e-12, limit=200)
+# Gauss-Legendre nodes and weights on [-1, 1], a 20-point and a 41-point rule
+_GAUSS = tuple(np.polynomial.legendre.leggauss(k) for k in (20, 41))
+_NODES = np.concatenate([_GAUSS[0][0], _GAUSS[1][0]])
+_CUTS = np.linspace(0.0, 1.0, 9)  # a refined interval is cut into 8
+
+# the integer inequality behind each exact verdict, with s = m1 + m2
+_ROUTES = {
+    "K1": "(m2+1)(s+1) < s^2 and m2 s^3 >= (m2 s+m2+1)^2, so 1 + S < 2 <= A",
+    "K2": "m1 < s, so sin^2(theta_2) < 1",
+    "K3": "m2 < s, so sin^2(theta_3) < 1",
+    "K4": "(m1+1)(s+1) < s^2 and m1 s^3 >= (m1 s+m1+1)^2 (K1 of the swapped pair)",
+    "S_lt_1": "(m2+1)(s+1) < s^2, with Wendel's S^2 <= (m2+1)(s+1)/s^2",
+    "A_ge_2": "m2 s^3 >= (m2 s+m2+1)^2",
+    "one_plus_S_lt_A": "(m2+1)(s+1) < s^2 and m2 s^3 >= (m2 s+m2+1)^2, so 1 + S < 2 <= A",
+}
 
 
-# -- special functions ---------------------------------------------------------
+def _s_below_one(m1: int, m2: int) -> bool:
+    s = m1 + m2
+    return (m2 + 1) * (s + 1) < s * s
+
+
+def _a_at_least_two(m1: int, m2: int) -> bool:
+    s = m1 + m2
+    return m2 * s**3 >= (m2 * s + m2 + 1) ** 2
+
+
+def _gamma_quotient(num, den) -> tuple[float, float]:
+    """prod Gamma(num) / prod Gamma(den) from ``math.lgamma``, with a relative error bound.
+
+    lgamma is good to a few ulp of its value, so the bound is 4 eps times the
+    sum of |lgamma| (plus one for exp and the rounding of the sum).
+    """
+    logs = [math.lgamma(x) for x in num] + [-math.lgamma(x) for x in den]
+    return math.exp(math.fsum(logs)), 4 * _EPS * (1 + sum(map(abs, logs)))
+
+
+# -- quadrature ---------------------------------------------------------------------
+
+
+def _gauss_pair(func, lo, hi):
+    """Each interval's 41-point Gauss-Legendre value and its error estimate.
+
+    The estimate is the distance from the 20-point value, but at least the
+    rounding of the 41-point sum, 50 eps times the integral of |f|.
+    """
+    half, mid = (hi - lo) / 2, (hi + lo) / 2
+    f = func(mid[:, None] + half[:, None] * _NODES)
+    low = half * (f[:, :20] @ _GAUSS[0][1])
+    high = half * (f[:, 20:] @ _GAUSS[1][1])
+    rounding = 50 * _EPS * half * (np.abs(f[:, 20:]) @ _GAUSS[1][1])
+    return high, np.maximum(np.abs(high - low), rounding)
+
+
+def quad(func, a, b, epsrel: float, limit: int):
+    """Adaptive Gauss-Legendre quadrature of a vectorized integrand over [a, b].
+
+    Returns ``(value, error_estimate)``.  Each interval counts at its 41-point
+    value; the distance to its 20-point value estimates its error (generously:
+    that is the size of the 20-point error).  While the summed estimate exceeds
+    epsrel |value|, every interval above an even share of that tolerance is cut
+    into 8, all of them evaluated in one call of ``func``, as long as no more
+    than ``limit`` intervals result.
+    """
+    lo, hi = np.array([a], dtype=float), np.array([b], dtype=float)
+    val, err = _gauss_pair(func, lo, hi)
+    while True:
+        value, error = float(val.sum()), float(err.sum())
+        tol = epsrel * abs(value)
+        split = err > tol / len(lo)
+        if error <= tol or len(lo) + (len(_CUTS) - 2) * np.count_nonzero(split) > limit:
+            return value, error
+        edges = lo[split, None] + (hi - lo)[split, None] * _CUTS
+        edges[:, -1] = hi[split]
+        keep = ~split
+        new_val, new_err = _gauss_pair(func, edges[:, :-1].ravel(), edges[:, 1:].ravel())
+        lo = np.concatenate([lo[keep], edges[:, :-1].ravel()])
+        hi = np.concatenate([hi[keep], edges[:, 1:].ravel()])
+        val = np.concatenate([val[keep], new_val])
+        err = np.concatenate([err[keep], new_err])
+
+
+# -- the scalars S and A -----------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class SValue:
-    """The Gamma ratio S(m1, m2), float plus exact rational*pi^e form."""
+    """The Gamma ratio S(m1, m2) with the bound on its float error."""
 
     value: float
-    exact: PiRational
-
-    @property
-    def pi_power(self) -> int:
-        return self.exact.half_pi // 2
+    error_bound: float
 
 
 def gamma_ratio_S(pair: MultiplicityPair) -> SValue:
     """S = Gamma((m2+2)/2) Gamma((m1+m2)/2) / (Gamma((m2+1)/2) Gamma((m1+m2+1)/2))."""
-    m1, m2 = pair.m1, pair.m2
-    exact = (
-        gamma_half(m2 + 2) * gamma_half(m1 + m2)
-        / (gamma_half(m2 + 1) * gamma_half(m1 + m2 + 1))
-    )
-    if exact.half_pi % 2 != 0:
-        raise AssertionError("S has a stray half power of pi")
-    return SValue(float(exact), exact)
+    m2, s = pair.m2, pair.m1 + pair.m2
+    value, rel = _gamma_quotient(((m2 + 2) / 2, s / 2), ((m2 + 1) / 2, (s + 1) / 2))
+    return SValue(value, value * rel)
 
 
 @dataclass(frozen=True)
 class AValue:
-    """Threshold coefficient A with exact surd form and the integer test of A >= 2."""
+    """Threshold coefficient A, its float error bound and the integer test of A >= 2."""
 
     value: float
-    exact: Surd
+    error_bound: float
     at_least_two: bool
 
 
 def threshold_A(pair: MultiplicityPair) -> AValue:
-    """A = ((n+2)/n) ((m1-1)/(m1+m2)) / sin^2(theta_1), exactly.
+    """A = ((n+2)/n) ((m1-1)/(m1+m2)) / sin^2(theta_1).
 
-    With s = m1+m2: A = 2 (s+1)(m1-1)(s + sqrt(s m2)) / (s^2 m1).  The
-    verdict A >= 2 is equivalent to the integer inequality
-    m2 s^3 >= (m2 s + m2 + 1)^2, which is what is actually tested.
+    With s = m1+m2: A = 2 (s+1)(m1-1)(s + sqrt(s m2)) / (s^2 m1), a handful of
+    correctly rounded operations.  The verdict A >= 2 is the equivalent integer
+    inequality m2 s^3 >= (m2 s + m2 + 1)^2.
     """
     if pair.g != 4:
         raise UnsupportedCaseError("threshold A is defined for g=4 pairs")
     m1, m2 = pair.m1, pair.m2
     s = m1 + m2
-    coef = Fraction(2 * (s + 1) * (m1 - 1), s * s * m1)
-    exact = Surd(coef * s, coef, s * m2)
-    integer_verdict = m2 * s**3 >= (m2 * s + m2 + 1) ** 2
-    if integer_verdict != ((exact - 2).sign() >= 0):
-        raise AssertionError("surd and integer routes disagree on A >= 2")
-    return AValue(float(exact), exact, integer_verdict)
+    value = 2 * (s + 1) * (m1 - 1) * (s + math.sqrt(s * m2)) / (s * s * m1)
+    return AValue(value, 4 * _EPS * value, _a_at_least_two(m1, m2))
 
 
 # -- the integrals G and K_alpha -------------------------------------------------
@@ -115,13 +194,12 @@ def threshold_A(pair: MultiplicityPair) -> AValue:
 
 @dataclass(frozen=True)
 class IntegralValue:
-    """A certified integral: authoritative value, error bound, both routes."""
+    """A certified integral: authoritative value, error bound, and the quadrature."""
 
     value: float
     error_bound: float
     quadrature: float
     quadrature_error: float
-    exact_terms: tuple | None = None  # ((Fraction, radicand, pi_power), ...)
 
     @property
     def dual_agreement(self) -> float:
@@ -130,59 +208,45 @@ class IntegralValue:
         return abs(self.value - self.quadrature) / scale
 
 
-def _terms_float(terms) -> float:
-    return sum(float(c) * math.sqrt(d) * math.pi**p for c, d, p in terms)
-
-
 def integral_G(pair: MultiplicityPair) -> IntegralValue:
     """G = int_0^{pi/2} sin^m1 x cos^m2 x dx, closed form B((m1+1)/2,(m2+1)/2)/2."""
     m1, m2 = pair.m1, pair.m2
-    exact = beta_half(m1 + 1, m2 + 1) / 2
-    if exact.half_pi % 2 != 0:
-        raise AssertionError("G has a stray half power of pi")
-    qval, qerr = quad(lambda x: math.sin(x) ** m1 * math.cos(x) ** m2, 0.0, math.pi / 2, **_QUAD_OPTS)
-    value = float(exact)
-    terms = ((exact.frac, 1, exact.half_pi // 2),)
-    return IntegralValue(value, abs(value) * _EXACT_FLOAT_REL_ERR, qval, qerr, terms)
+    beta, rel = _gamma_quotient(((m1 + 1) / 2, (m2 + 1) / 2), ((m1 + m2 + 2) / 2,))
+    qval, qerr = quad(lambda x: np.sin(x) ** m1 * np.cos(x) ** m2, 0.0, math.pi / 2, **_QUAD_OPTS)
+    return IntegralValue(beta / 2, beta / 2 * rel, qval, qerr)
 
 
-def _sin2_theta_alpha(pair: MultiplicityPair, alpha: int) -> Surd:
-    """Exact sin^2(theta_alpha) at the minimal angle, alpha in 1..4.
+def _sin2_theta_alpha(pair: MultiplicityPair, alpha: int) -> float:
+    """sin^2(theta_alpha) at the minimal angle, alpha in 1..4.
 
     cos(2 theta_1) = sqrt(m2/s) and sin(2 theta_1) = sqrt(m1/s) give
-    sin^2(theta_alpha) = (1 -+ sqrt(m_i/s))/2 depending on alpha.
+    sin^2(theta_alpha) = (1 -+ sqrt(m_i/s))/2 depending on alpha; the two
+    differences are evaluated as m_i / (2 (s + sqrt(m_j s))), free of
+    cancellation however large s gets.
     """
     m1, m2 = pair.m1, pair.m2
     s = m1 + m2
-    half = Fraction(1, 2)
-    c = Fraction(1, 2 * s)
     if alpha == 1:
-        return Surd(half, -c, m2 * s)
+        return m1 / (2 * (s + math.sqrt(m2 * s)))
     if alpha == 2:
-        return Surd(half, c, m1 * s)
+        return (1 + math.sqrt(m1 / s)) / 2
     if alpha == 3:
-        return Surd(half, c, m2 * s)
+        return (1 + math.sqrt(m2 / s)) / 2
     if alpha == 4:
-        return Surd(half, -c, m1 * s)
+        return m2 / (2 * (s + math.sqrt(m1 * s)))
     raise ValueError(f"alpha must be in 1..4, got {alpha}")
 
 
-def _k_end_exact(m_in: int, m_out: int, sin2: Surd) -> tuple:
-    """Exact terms for the alpha in {1, 4} integrals.
+def _k_end(m_in: int, m_out: int, sin2: float) -> tuple[float, float]:
+    """Closed form of the alpha in {1, 4} integrals, with its error bound.
 
     sin^2(theta) * [B((a-1)/2, (b+1)/2) + B((a-1)/2, (b+2)/2)] / 2 with
     (a, b) = (m1, m2) for alpha = 1 and (m2, m1) for alpha = 4.
     """
-    bracket = [beta_half(m_in - 1, m_out + 1), beta_half(m_in - 1, m_out + 2)]
-    terms = []
-    for b in bracket:
-        if b.half_pi % 2 != 0:
-            raise AssertionError("K bracket has a stray half power of pi")
-        pi_pow = b.half_pi // 2
-        terms.append((sin2.rational * b.frac / 2, 1, pi_pow))
-        if sin2.coef:
-            terms.append((sin2.coef * b.frac / 2, sin2.radicand, pi_pow))
-    return tuple(terms)
+    b1, r1 = _gamma_quotient(((m_in - 1) / 2, (m_out + 1) / 2), ((m_in + m_out) / 2,))
+    b2, r2 = _gamma_quotient(((m_in - 1) / 2, (m_out + 2) / 2), ((m_in + m_out + 1) / 2,))
+    value = sin2 * (b1 + b2) / 2
+    return value, sin2 * (b1 * r1 + b2 * r2) / 2 + 4 * _EPS * value
 
 
 def integral_K(pair: MultiplicityPair, alpha: int) -> IntegralValue:
@@ -201,26 +265,23 @@ def integral_K(pair: MultiplicityPair, alpha: int) -> IntegralValue:
     if alpha == 4 and m2 < 2:
         raise DivergenceError("K_4 diverges for m2 = 1 (endpoint pole of order >= 1)")
     sin2 = _sin2_theta_alpha(pair, alpha)
-    sin2_f = float(sin2)
 
     if alpha == 1:
-        integrand = lambda x: 4.0 * math.cos(x) ** 2 * math.sin(2 * x) ** (m1 - 2) * math.cos(2 * x) ** m2
+        integrand = lambda x: 4.0 * np.cos(x) ** 2 * np.sin(2 * x) ** (m1 - 2) * np.cos(2 * x) ** m2
     elif alpha == 4:
-        integrand = lambda x: 4.0 * math.cos(x) ** 2 * math.sin(2 * x) ** (m2 - 2) * math.cos(2 * x) ** m1
+        integrand = lambda x: 4.0 * np.cos(x) ** 2 * np.sin(2 * x) ** (m2 - 2) * np.cos(2 * x) ** m1
     else:
         shift = (alpha - 1) * math.pi / 4.0
-        integrand = lambda x: (
-            math.sin(2 * x) ** m1 * math.cos(2 * x) ** m2 / math.sin(shift + x) ** 2
-        )
+        integrand = lambda x: np.sin(2 * x) ** m1 * np.cos(2 * x) ** m2 / np.sin(shift + x) ** 2
     qraw, qerr = quad(integrand, 0.0, math.pi / 4, **_QUAD_OPTS)
-    qval = sin2_f * qraw
-    qerr = sin2_f * qerr + abs(qval) * 1e-13
+    qval = sin2 * qraw
+    qerr = sin2 * qerr + abs(qval) * 1e-13
 
-    if alpha in (1, 4):
-        terms = _k_end_exact(m1, m2, sin2) if alpha == 1 else _k_end_exact(m2, m1, sin2)
-        value = _terms_float(terms)
-        return IntegralValue(value, abs(value) * _EXACT_FLOAT_REL_ERR, qval, qerr, terms)
-    return IntegralValue(qval, qerr, qval, qerr, None)
+    if alpha == 1:
+        return IntegralValue(*_k_end(m1, m2, sin2), qval, qerr)
+    if alpha == 4:
+        return IntegralValue(*_k_end(m2, m1, sin2), qval, qerr)
+    return IntegralValue(qval, qerr, qval, qerr)
 
 
 # -- hypersurface certificates ----------------------------------------------------
@@ -274,32 +335,11 @@ class HypersurfaceCertificate:
         }
 
 
-def _exact_k1_verdict(s_val: SValue, a_val: AValue) -> bool:
-    """K_1 < (n+2)G/n decided exactly via the equivalent 1 + S < A.
-
-    S and A of the swapped pair decide K_4 instead.
-    """
-    terms = [
-        (a_val.exact.rational - 1, 1, 0),
-        (a_val.exact.coef, a_val.exact.radicand, 0),
-        (-s_val.exact.frac, 1, s_val.pi_power),
-    ]
-    return sign_of_terms(terms) > 0
-
-
-def _exact_k_direct(n: int, g_val: IntegralValue, k_val: IntegralValue) -> bool:
-    """(n+2)G/n - K_alpha > 0 decided exactly from the closed forms (alpha in {1,4})."""
-    factor = Fraction(n + 2, n)
-    terms = [(factor * c, d, p) for c, d, p in g_val.exact_terms]
-    terms.extend((-c, d, p) for c, d, p in k_val.exact_terms)
-    return sign_of_terms(terms) > 0
-
-
 def certify_hypersurface(pair: MultiplicityPair) -> HypersurfaceCertificate:
     """Certify the full inequality chain for a g=4 pair with min(m1, m2) >= 2.
 
-    Verdicts (each computed on a float path with error bounds and on an exact
-    path, which must agree):
+    Verdicts (each computed on a float path with error bounds and on the
+    integer path, which must agree):
 
     * K_alpha < (n+2) G / n for alpha = 1..4;
     * S < 1, A >= 2, and 1 + S < A.
@@ -314,55 +354,44 @@ def certify_hypersurface(pair: MultiplicityPair) -> HypersurfaceCertificate:
             f"({pair.m1}, {pair.m2}): min multiplicity 1 is the homogeneous case, "
             "settled by known facts rather than this certificate"
         )
+    m1, m2 = pair.m1, pair.m2
+    s = m1 + m2
     n = hypersurface_dimension(pair)
     angle = minimal_angle(pair)
     g_val = integral_G(pair)
     k_vals = tuple(integral_K(pair, a) for a in (1, 2, 3, 4))
     s_val = gamma_ratio_S(pair)
     a_val = threshold_A(pair)
-    mirror = pair.swapped()
-    s_mirror = gamma_ratio_S(mirror)
-    a_mirror = threshold_A(mirror)
 
     bound = (n + 2) / n * g_val.value
     bound_err = (n + 2) / n * g_val.error_bound
     ratios = tuple(k.value * n / ((n + 2) * g_val.value) for k in k_vals)
 
-    margins: dict = {}
-    verdicts: dict = {}
-    inconclusive = []
-    for a, k in zip((1, 2, 3, 4), k_vals):
-        margin = bound - k.value
-        err = bound_err + k.error_bound
-        margins[f"K{a}"] = margin
-        verdicts[f"K{a}"] = bool(margin > 0)
-        if abs(margin) <= err:
-            inconclusive.append(f"K{a}")
-    margins["S_lt_1"] = 1.0 - s_val.value
-    verdicts["S_lt_1"] = bool(s_val.value < 1.0)
-    margins["A_ge_2"] = a_val.value - 2.0
-    verdicts["A_ge_2"] = a_val.at_least_two
-    margins["one_plus_S_lt_A"] = a_val.value - 1.0 - s_val.value
-    verdicts["one_plus_S_lt_A"] = bool(1.0 + s_val.value < a_val.value)
-    scalar_err = _EXACT_FLOAT_REL_ERR * (abs(s_val.value) + abs(a_val.value) + 1.0)
-    for key in ("S_lt_1", "A_ge_2", "one_plus_S_lt_A"):
-        if abs(margins[key]) <= scalar_err:
-            inconclusive.append(key)
+    rounding = _EPS * (1.0 + s_val.value + a_val.value)  # of the scalar margins themselves
+    checks = [(f"K{a}", bound - k.value, bound_err + k.error_bound) for a, k in zip((1, 2, 3, 4), k_vals)]
+    checks += [
+        ("S_lt_1", 1.0 - s_val.value, s_val.error_bound + rounding),
+        ("A_ge_2", a_val.value - 2.0, a_val.error_bound + rounding),
+        ("one_plus_S_lt_A", a_val.value - 1.0 - s_val.value,
+         s_val.error_bound + a_val.error_bound + rounding),
+    ]
+    margins = {key: margin for key, margin, _ in checks}
+    verdicts = {key: bool(margin > 0) for key, margin, _ in checks}
+    inconclusive = any(abs(margin) <= err for _, margin, err in checks)
 
-    one_plus_s_lt_a = _exact_k1_verdict(s_val, a_val)
+    s_lt_1 = _s_below_one(m1, m2)
+    one_plus_s_lt_a = s_lt_1 and a_val.at_least_two
     exact_verdicts = {
-        "K1": one_plus_s_lt_a and _exact_k_direct(n, g_val, k_vals[0]),
-        "K2": (1 - _sin2_theta_alpha(pair, 2)).sign() > 0,
-        "K3": (1 - _sin2_theta_alpha(pair, 3)).sign() > 0,
-        "K4": _exact_k1_verdict(s_mirror, a_mirror) and _exact_k_direct(n, g_val, k_vals[3]),
-        "S_lt_1": sign_of_terms([(1, 1, 0), (-s_val.exact.frac, 1, s_val.pi_power)]) > 0,
+        "K1": one_plus_s_lt_a,
+        "K2": m1 < s,
+        "K3": m2 < s,
+        "K4": _s_below_one(m2, m1) and _a_at_least_two(m2, m1),
+        "S_lt_1": s_lt_1,
         "A_ge_2": a_val.at_least_two,
         "one_plus_S_lt_A": one_plus_s_lt_a,
     }
 
-    if any(verdicts[k] != exact_verdicts[k] for k in verdicts):
-        status = "inconclusive"
-    elif inconclusive:
+    if inconclusive or verdicts != exact_verdicts:
         status = "inconclusive"
     elif all(verdicts.values()):
         status = "pass"
@@ -385,9 +414,8 @@ def certify_hypersurface(pair: MultiplicityPair) -> HypersurfaceCertificate:
         status=status,
         precision={
             "float_significant_digits": 17,
-            "quad_epsabs": _QUAD_OPTS["epsabs"],
             "quad_epsrel": _QUAD_OPTS["epsrel"],
-            "exact_route": "rational/surd arithmetic with adaptive-precision pi intervals",
+            "routes": dict(_ROUTES),
         },
     )
 

@@ -1,15 +1,16 @@
 """Exact scalar arithmetic: quadratic surds, half-integer Gamma/Beta, sign decisions.
 
-Certificate verdicts must not inherit floating-point error, so the quantities
-they compare are kept in closed form for as long as possible:
-
 * ``Surd`` values ``a + b*sqrt(d)`` with rational a, b and integer d >= 0
-  (e.g. the minimal angle's sin^2 theta_1, the threshold coefficient A);
+  (e.g. the minimal angle's sin^2 theta_1);
 * ``PiRational`` values ``r * pi**(k/2)`` with rational r (every Beta/Gamma
   ratio of half-integer arguments has this shape);
 * ``sign_of_terms`` decides the sign of a finite sum of terms
   ``c * sqrt(d) * pi**p`` exactly — in pure rational/surd arithmetic when no
   pi is involved, otherwise by interval arithmetic at escalating precision.
+
+The certificates decide their verdicts by integer inequalities; the closed
+forms here, built from full factorials, are the oracle those verdicts and
+their float values are tested against.
 """
 
 from __future__ import annotations

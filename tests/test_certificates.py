@@ -5,9 +5,10 @@ import mpmath
 import pytest
 
 from isospectra import certificates as certs
+from isospectra import exact
 from isospectra.catalog import admissible_pairs, pair_g4
 from isospectra.errors import DivergenceError, UnsupportedCaseError
-from isospectra.exact import beta_half
+from isospectra.exact import PiRational, Surd, beta_half, gamma_half, sign_of_terms
 
 
 def _gamma_recurrence(two_x):
@@ -17,6 +18,136 @@ def _gamma_recurrence(two_x):
     if two_x == 2:
         return 1.0
     return (two_x - 2) / 2.0 * _gamma_recurrence(two_x - 2)
+
+
+# -- the factorial route, as oracle ------------------------------------------------
+# Every Gamma/Beta argument in the certificates is a half-integer, so S, G and the
+# K_1/K_4 closed forms are rationals times powers of pi (and sqrt(m s) for K); their
+# signs are decided exactly by sign_of_terms.  The certificates themselves use
+# integer inequalities and lgamma floats; these are checked against this route.
+
+
+def _pi_term(x: PiRational, scale=1):
+    assert x.half_pi % 2 == 0, "stray half power of pi"
+    return (scale * x.frac, 1, x.half_pi // 2)
+
+
+def _oracle_S(m1, m2) -> PiRational:
+    s = m1 + m2
+    return gamma_half(m2 + 2) * gamma_half(s) / (gamma_half(m2 + 1) * gamma_half(s + 1))
+
+
+def _oracle_G(m1, m2) -> PiRational:
+    return beta_half(m1 + 1, m2 + 1) / 2
+
+
+def _oracle_A(m1, m2) -> Surd:
+    s = m1 + m2
+    coef = Fraction(2 * (s + 1) * (m1 - 1), s * s * m1)
+    return Surd(coef * s, coef, s * m2)
+
+
+def _oracle_K_end(m_in, m_out) -> list:
+    """Terms of sin^2(theta) [B((a-1)/2, (b+1)/2) + B((a-1)/2, (b+2)/2)] / 2.
+
+    (a, b) = (m1, m2) gives K_1; the swapped multiplicities give K_4.
+    """
+    s = m_in + m_out
+    sin2 = Surd(Fraction(1, 2), Fraction(-1, 2 * s), m_out * s)
+    terms = []
+    for b in (beta_half(m_in - 1, m_out + 1), beta_half(m_in - 1, m_out + 2)):
+        c, _, p = _pi_term(b, Fraction(1, 2))
+        terms.append((sin2.rational * c, 1, p))
+        terms.append((sin2.coef * c, sin2.radicand, p))
+    return terms
+
+
+def _oracle_verdicts(m1, m2) -> dict:
+    """The sign_of_terms verdicts: S < 1, A >= 2, 1 + S < A and the direct K_1/K_4 tests."""
+    n = 2 * (m1 + m2)
+    S, A = _oracle_S(m1, m2), _oracle_A(m1, m2)
+    bound = [_pi_term(_oracle_G(m1, m2), Fraction(n + 2, n))]
+
+    def below_bound(k_terms):
+        return sign_of_terms(bound + [(-c, d, p) for c, d, p in k_terms]) > 0
+
+    return {
+        "S_lt_1": sign_of_terms([(1, 1, 0), _pi_term(S, -1)]) > 0,
+        "A_ge_2": (A - 2).sign() >= 0,
+        "one_plus_S_lt_A": sign_of_terms(
+            [(A.rational - 1, 1, 0), (A.coef, A.radicand, 0), _pi_term(S, -1)]) > 0,
+        "K1": below_bound(_oracle_K_end(m1, m2)),
+        "K4": below_bound(_oracle_K_end(m2, m1)),
+    }
+
+
+def _within(value, error_bound, terms) -> bool:
+    """|value - sum of terms| <= error_bound, decided exactly."""
+    rest = [(-c, d, p) for c, d, p in terms]
+    hi = Fraction(value) + Fraction(error_bound)
+    lo = Fraction(value) - Fraction(error_bound)
+    return sign_of_terms([(hi, 1, 0), *rest]) >= 0 >= sign_of_terms([(lo, 1, 0), *rest])
+
+
+def _oracle_pairs():
+    pairs = [p for p in admissible_pairs(256) if min(p.m1, p.m2) >= 2]
+    return pairs + [pair_g4(2, 1025), pair_g4(2, 8193)]
+
+
+def _catalog_sample():
+    """Every 5th catalog pair with min >= 2, up to sum 1100."""
+    return [p for p in admissible_pairs(1100) if min(p.m1, p.m2) >= 2][::5]
+
+
+def test_integer_verdicts_match_factorial_oracle():
+    for pair in _oracle_pairs():
+        verdicts = certs.certify_hypersurface(pair).exact_verdicts
+        oracle = _oracle_verdicts(pair.m1, pair.m2)
+        assert {k: verdicts[k] for k in oracle} == oracle, (pair.m1, pair.m2)
+
+
+def test_wendel_bound_on_factorial_S():
+    # S^2 <= (m2+1)(s+1)/s^2, the bound whose integer form decides S < 1
+    for pair in _oracle_pairs():
+        m1, m2 = pair.m1, pair.m2
+        s = m1 + m2
+        S = _oracle_S(m1, m2)
+        c, _, p = _pi_term(S)
+        assert sign_of_terms([(Fraction((m2 + 1) * (s + 1), s * s), 1, 0), (-c * c, 1, 2 * p)]) >= 0
+
+
+def test_lgamma_floats_within_error_bounds():
+    pairs = _catalog_sample()
+    assert len(pairs) == 363
+    for pair in pairs:
+        m1, m2 = pair.m1, pair.m2
+        g, s = certs.integral_G(pair), certs.gamma_ratio_S(pair)
+        k1, k4 = certs.integral_K(pair, 1), certs.integral_K(pair, 4)
+        a = certs.threshold_A(pair)
+        assert _within(g.value, g.error_bound, [_pi_term(_oracle_G(m1, m2))]), (m1, m2)
+        assert _within(s.value, s.error_bound, [_pi_term(_oracle_S(m1, m2))]), (m1, m2)
+        assert _within(k1.value, k1.error_bound, _oracle_K_end(m1, m2)), (m1, m2)
+        assert _within(k4.value, k4.error_bound, _oracle_K_end(m2, m1)), (m1, m2)
+        A = _oracle_A(m1, m2)
+        assert _within(a.value, a.error_bound, [(A.rational, 1, 0), (A.coef, A.radicand, 0)])
+
+
+def test_quadrature_error_covers_closed_form():
+    for pair in _catalog_sample() + [pair_g4(2, 1000001), pair_g4(4, 399999)]:
+        for v in (certs.integral_G(pair), certs.integral_K(pair, 1), certs.integral_K(pair, 4)):
+            assert abs(v.value - v.quadrature) <= v.quadrature_error + v.error_bound, (pair.m1, pair.m2)
+
+
+def test_certify_without_factorial_route(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("factorial route called")
+
+    for name in ("gamma_half", "beta_half", "sign_of_terms"):
+        monkeypatch.setattr(certs, name, refuse)
+        monkeypatch.setattr(exact, name, refuse)
+    for m1, m2 in [(2, 2), (4, 5), (2, 1025)]:
+        cert = certs.certify_hypersurface(pair_g4(m1, m2))
+        assert cert.status == "pass" and cert.verdicts == cert.exact_verdicts
 
 
 # -- beta ---------------------------------------------------------------------------
@@ -95,7 +226,7 @@ def test_K_against_raw_singular_oracle():
 def test_K1_closed_form_vs_quadrature():
     for pair in [pair_g4(2, 2), pair_g4(4, 5), pair_g4(6, 9), pair_g4(2, 21)]:
         k = certs.integral_K(pair, 1)
-        assert k.exact_terms is not None
+        assert _within(k.value, k.error_bound, _oracle_K_end(pair.m1, pair.m2))
         assert k.dual_agreement < 1e-9
 
 
@@ -160,15 +291,15 @@ def _telescoping_S_odd(m1, m2):
 def test_S_literal_value_2_2():
     s = certs.gamma_ratio_S(pair_g4(2, 2))
     assert math.isclose(s.value, 8 / (3 * math.pi), rel_tol=1e-15)
-    assert s.exact.frac == Fraction(8, 3) and s.pi_power == -1
+    assert _oracle_S(2, 2) == PiRational(Fraction(8, 3), -2)
 
 
 def test_S_odd_m1_telescoping():
     for m1, m2 in [(3, 4), (5, 2), (7, 8), (9, 6)]:
         tel = _telescoping_S_odd(m1, m2)
         s = certs.gamma_ratio_S(pair_g4(m1, m2))
-        assert s.pi_power == 0
-        assert s.exact.frac == tel
+        assert _oracle_S(m1, m2) == PiRational(tel, 0)
+        assert abs(Fraction(s.value) - tel) <= Fraction(s.error_bound)
         assert tel < 1
 
 
@@ -273,8 +404,10 @@ def test_certify_margins_exceed_errors():
 def test_certify_batch_small():
     # sums above about 250 put G below 1e-13, where only a relative quadrature
     # tolerance keeps the K2/K3 error bounds below the margins; m2 = 1025 is past
-    # the float range of 2^m2
-    pairs = [p for p in admissible_pairs(512) if min(p.m1, p.m2) >= 2] + [pair_g4(2, 1025)]
+    # the float range of 2^m2; the last two are the families (2, 2k-1) and
+    # (4, 4k-1) far beyond the reach of exact factorials
+    pairs = [p for p in admissible_pairs(512) if min(p.m1, p.m2) >= 2]
+    pairs += [pair_g4(2, 1025), pair_g4(2, 1000001), pair_g4(4, 399999)]
     for pair in pairs:
         cert = certs.certify_hypersurface(pair)
         assert cert.status == "pass", (pair.m1, pair.m2)
@@ -301,9 +434,11 @@ def test_certificates_serialization():
 
     batch = [certs.certify_hypersurface(pair_g4(2, 2)), certs.certify_hypersurface(pair_g4(4, 5))]
     data = json.loads(certs.certificates_json(batch))
-    assert data["schema_version"] == 1
+    assert data["schema_version"] == 2
     assert len(data["certificates"]) == 2
     assert data["certificates"][0]["status"] == "pass"
+    routes = data["certificates"][0]["precision"]["routes"]
+    assert set(routes) == set(batch[0].exact_verdicts)
     text = certs.certificates_csv(batch)
     rows = list(csv.reader(io.StringIO(text)))
     assert rows[0][:4] == ["m1", "m2", "n", "K1"]

@@ -156,10 +156,14 @@ def test_from_json_rejects_bad_input():
 
 
 def _reference_verify(system: CliffordSystem) -> VerificationReport:
-    """The dense verifier: every identity by int64 matrix products, O(m^2 d^3)."""
+    """The dense verifier: every identity by matrix products, O(m^2 d^3).
+
+    The products run in float64, where they are exact: the entries are
+    integers of size at most 2, so every sum stays far below 2^53.
+    """
     mats = system.matrices
     n = system.ambient_dim
-    eye = np.eye(n, dtype=np.int64)
+    eye = np.eye(n)
     failures: list[str] = []
     checks = 0
     for i, p in enumerate(mats):
@@ -173,10 +177,11 @@ def _reference_verify(system: CliffordSystem) -> VerificationReport:
             failures.append(f"P_{i} is not symmetric")
         if int(np.trace(p)) != 0:
             failures.append(f"P_{i} has nonzero trace {int(np.trace(p))}")
+    dense = [p.astype(np.float64) for p in mats]
     for i in range(len(mats)):
         for j in range(i, len(mats)):
             checks += 1
-            anti = mats[i] @ mats[j] + mats[j] @ mats[i]
+            anti = dense[i] @ dense[j] + dense[j] @ dense[i]
             target = 2 * eye if i == j else np.zeros_like(eye)
             if not np.array_equal(anti, target):
                 kind = "square" if i == j else "anticommutator"

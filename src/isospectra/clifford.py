@@ -233,7 +233,7 @@ class VerificationReport:
         return self.failures[0] if self.failures else None
 
 
-def _signed_permutation(p: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+def signed_permutation(p: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
     """``(perm, sign)`` with ``p[r, perm[r]] = sign[r]``, or None if p is no signed permutation."""
     ident = np.arange(len(p))
     perm = np.abs(p).argmax(axis=1) if len(p) else ident
@@ -266,7 +266,7 @@ def verify_system(system: CliffordSystem) -> VerificationReport:
         form = None
         if p.shape != (n, n):
             failures.append(f"P_{i} has shape {p.shape}, expected {(n, n)}")
-        elif (form := _signed_permutation(p)) is None:
+        elif (form := signed_permutation(p)) is None:
             failures.append(f"P_{i} is not a signed permutation")
         else:
             perm, sign = form

@@ -24,16 +24,30 @@ from math import factorial
 
 @functools.lru_cache(maxsize=1024)
 def _split_square(n: int) -> tuple[int, int]:
-    """Return (s, r) with n = s*s*r and r square-free-ish (no square factor <= sqrt(n))."""
+    """Return (s, r) with n = s*s*r and r square-free, in O(n^(1/3)) divisions.
+
+    Every f with f^3 <= the remaining cofactor c is divided out, its exponent's
+    parity going to r and the rest to s.  Then c has no prime factor below
+    c^(1/3), so it is 1, p, p^2 or p*q for primes p != q, and it is a square
+    exactly when isqrt(c)^2 == c.  n = 0 gives (1, 0).
+    """
     if n < 0:
         raise ValueError("radicand must be nonnegative")
-    s, r, f = 1, n, 2
-    while f * f <= r:
-        while r % (f * f) == 0:
-            r //= f * f
-            s *= f
+    if n == 0:
+        return 1, 0
+    s, r, c, f = 1, 1, n, 2
+    while f * f * f <= c:
+        e = 0
+        while c % f == 0:
+            c //= f
+            e += 1
+        s *= f ** (e // 2)
+        r *= f ** (e % 2)
         f += 1
-    return s, r
+    root = math.isqrt(c)
+    if root * root == c:
+        return s * root, r
+    return s, r * c
 
 
 @dataclass(frozen=True)

@@ -12,10 +12,14 @@ submanifolds.  F satisfies |grad F|^2 = 16 |x|^6 and
 Lap F = 8 (m2 - m1) |x|^2, which the tests exercise as independent oracles.
 
 The Clifford relations P_i P_j + P_j P_i = 2 delta_ij I give
-<P_i x, P_j x> = delta_ij |x|^2, so one product x @ P_i per matrix yields
-r = |x|^2, q_i = <P_i x, x> and grad F = 4 r x - 8 sum_i q_i P_i x at once;
-F, the spherical gradient, the normal and every Newton or Gauss-Newton step
-derive from that one pass.
+<P_i x, P_j x> = delta_ij |x|^2, so one pass that forms each P_i x in turn
+yields r = |x|^2, q_i = <P_i x, x> and grad F = 4 r x - 8 sum_i q_i P_i x at
+once; F, the spherical gradient, the normal and every Newton or Gauss-Newton
+step derive from that one pass.  The pass walks the rows in cache-sized
+blocks.  Every P_i is a signed permutation, so P_i x is the gather
+x[perm] * sign; below ambient dimension 64 a product with the dense float
+matrix is faster and is used instead.  Either way each entry of P_i x is a
+single entry of x times +-1, so both give the same bits.
 
 Sampling is deterministic given (seed): one seeded generator drives the whole
 vectorized pass, so results do not depend on scheduling or thread counts.
@@ -33,7 +37,7 @@ from pathlib import Path
 import numpy as np
 
 from .catalog import MultiplicityPair, clifford_multiplier, delta
-from .clifford import CliffordSystem, build_system
+from .clifford import CliffordSystem, build_system, signed_permutation
 from .errors import InvalidPairError, NearFocalError, SamplingError
 
 SCHEMA_VERSION = 1
@@ -41,6 +45,20 @@ SCHEMA_VERSION = 1
 _LEVEL_TOL = 1e-10
 _FOCAL_GRAD_CUTOFF = 1e-8
 _MAX_ATTEMPTS = 50
+# The kernels walk the rows in blocks of about this many float64 values
+# (256 KiB), so a block, its product P_i x and the gradient accumulator stay in
+# cache whatever the batch size.  Blocks of 2^14-2^15 values sampled fastest;
+# one block for the whole batch was 4-36% slower at d = 16-256.
+_BLOCK_ELEMENTS = 2**15
+# From this ambient dimension on, P_i x is formed by a gather (np.take of the
+# permuted columns, then a multiply by the signs), O(d) per row; below it by a
+# BLAS product with the dense float matrix, O(d^2) per row.  A d <= 32 matrix
+# fits in L1 and BLAS streams the block once, while the gather makes two passes
+# over it, so at d = 16 and 32 the samplers took 0.91-1.20x the BLAS time with
+# the gather, BLAS ahead in 4 of 5 runs.  At d = 64 the d^2 work dominates and
+# the gather took 0.80x the BLAS time, 0.55x at 128 and 0.32x at 256 (2-vCPU
+# Xeon, one BLAS thread; "crossover" in BENCH_fkm_gather_blocks.json).
+_GATHER_MIN_DIM = 64
 
 
 @dataclass(frozen=True)
@@ -49,12 +67,33 @@ class FKMFamily:
 
     system: CliffordSystem
     pair: MultiplicityPair
-    _float_mats: tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False)
+    _perms: tuple[tuple[np.ndarray, np.ndarray], ...] = field(init=False, repr=False, compare=False)
+    _float_mats: tuple[np.ndarray, ...] | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        mats = tuple(p.astype(np.float64) for p in self.system.matrices)
-        for p in mats:
-            p.setflags(write=False)
+        """Read each P_i into ``(perm, float sign)``; keep float copies below the gather switch.
+
+        Raises ValueError when some P_i has the wrong shape or is not a signed
+        permutation, since the gather would silently compute garbage on it.
+        """
+        d = self.system.ambient_dim
+        perms = []
+        for i, p in enumerate(self.system.matrices):
+            if p.shape != (d, d):
+                raise ValueError(f"P_{i} has shape {p.shape}, expected {(d, d)}")
+            form = signed_permutation(p)
+            if form is None:
+                raise ValueError(f"P_{i} is not a signed permutation")
+            perm, sign = form[0], form[1].astype(np.float64)
+            perm.setflags(write=False)
+            sign.setflags(write=False)
+            perms.append((perm, sign))
+        mats = None
+        if d < _GATHER_MIN_DIM:
+            mats = tuple(p.astype(np.float64) for p in self.system.matrices)
+            for p in mats:
+                p.setflags(write=False)
+        object.__setattr__(self, "_perms", tuple(perms))
         object.__setattr__(self, "_float_mats", mats)
 
     @property
@@ -97,21 +136,59 @@ def _check_dim(family: FKMFamily, x: np.ndarray) -> np.ndarray:
     return x
 
 
+def _products(family: FKMFamily, x: np.ndarray, out: np.ndarray):
+    """Yield P_i x for i = 0..m, each written into ``out`` (rows of x are points)."""
+    if family._float_mats is None:
+        for perm, sign in family._perms:
+            # mode="clip" lets np.take write straight into out ("raise" buffers)
+            np.take(x, perm, axis=1, out=out, mode="clip")
+            out *= sign
+            yield out
+    else:
+        for p in family._float_mats:
+            yield np.matmul(x, p, out=out)
+
+
+def _row_blocks(family: FKMFamily, x: np.ndarray):
+    """Walk the rows of 2-D x in blocks of about ``_BLOCK_ELEMENTS`` values.
+
+    Yields ``(rows, block, products, scratch)``: the slice, x[rows], the
+    generator of P_i block for i = 0..m, and a spare array of the block's
+    shape.  The products' buffer and the spare array are reused from block to
+    block.
+    """
+    n, d = x.shape
+    step = max(1, _BLOCK_ELEMENTS // d)
+    buf = np.empty((min(step, n), d))
+    scratch = np.empty_like(buf)
+    for start in range(0, n, step):
+        rows = slice(start, min(start + step, n))
+        block = x[rows]
+        size = len(block)
+        yield rows, block, _products(family, block, buf[:size]), scratch[:size]
+
+
 def _forms_and_gradient(family: FKMFamily, x: np.ndarray):
     """r = |x|^2, q_i = <P_i x, x> and grad F = 4 r x - 8 sum_i q_i P_i x.
 
-    One pass over the matrices, holding one product x @ P_i at a time.
+    One pass over the matrices per row block, holding one P_i x at a time;
+    grad accumulates over i = 0..m in that order.
     """
-    mats = family._float_mats
-    r = np.sum(x * x, axis=-1)
-    q = np.empty(x.shape[:-1] + (len(mats),))
-    grad = 4.0 * r[..., None] * x
-    for i, p in enumerate(mats):
-        px = x @ p
-        qi = np.sum(px * x, axis=-1)
-        q[..., i] = qi
-        grad -= 8.0 * qi[..., None] * px
-    return r, q, grad
+    flat = x.reshape(-1, x.shape[-1])
+    r = np.empty(len(flat))
+    q = np.empty((len(flat), len(family._perms)))
+    grad = np.empty(flat.shape)
+    for rows, xb, products, tmp in _row_blocks(family, flat):
+        rb = np.sum(np.multiply(xb, xb, out=tmp), axis=-1)
+        r[rows] = rb
+        g = grad[rows]
+        np.multiply(4.0 * rb[:, None], xb, out=g)
+        for i, px in enumerate(products):
+            qi = np.sum(np.multiply(px, xb, out=tmp), axis=-1)
+            q[rows, i] = qi
+            g -= np.multiply(8.0 * qi[:, None], px, out=tmp)
+    lead = x.shape[:-1]
+    return r.reshape(lead), q.reshape(lead + q.shape[-1:]), grad.reshape(x.shape)
 
 
 def _level_and_tangent(family: FKMFamily, x: np.ndarray):
@@ -124,7 +201,12 @@ def _level_and_tangent(family: FKMFamily, x: np.ndarray):
 def quadratic_forms(family: FKMFamily, x) -> np.ndarray:
     """<P_i x, x> for i = 0..m, stacked along the last axis."""
     x = _check_dim(family, x)
-    return np.stack([np.sum((x @ p) * x, axis=-1) for p in family._float_mats], axis=-1)
+    flat = x.reshape(-1, x.shape[-1])
+    q = np.empty((len(flat), len(family._perms)))
+    for rows, xb, products, tmp in _row_blocks(family, flat):
+        for i, px in enumerate(products):
+            q[rows, i] = np.sum(np.multiply(px, xb, out=tmp), axis=-1)
+    return q.reshape(x.shape[:-1] + q.shape[-1:])
 
 
 def eval_F(family: FKMFamily, x) -> np.ndarray | float:
@@ -375,15 +457,16 @@ def sample_focal_M2(
     For a unit c in R^{m+1}, P = sum c_i P_i satisfies P^2 = I; any unit x in
     its +1 eigenspace has sum_i <P_i x, x>^2 = 1, hence f(x) = -1 exactly.
     """
-    mats = family._float_mats
 
     def propose(rng, want):
-        c = _unit_rows(rng.standard_normal((want, len(mats))))
+        c = _unit_rows(rng.standard_normal((want, len(family._perms))))
         y = rng.standard_normal((want, family.ambient_dim))
-        py = np.zeros_like(y)
-        for i, p in enumerate(mats):
-            py += c[:, i : i + 1] * (y @ p)
-        cand = y + py
+        cand = np.empty_like(y)
+        for rows, yb, products, py in _row_blocks(family, y):
+            py[...] = 0.0
+            for i, p in enumerate(products):
+                py += c[rows, i : i + 1] * p
+            np.add(yb, py, out=cand[rows])
         norms = np.linalg.norm(cand, axis=-1)
         ok = norms > 1e-6
         return cand[ok] / norms[ok, None]

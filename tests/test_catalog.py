@@ -65,6 +65,18 @@ def test_minimal_angle_g4_closed_forms():
     assert math.isclose(float(ma.sin_squared), 0.1273220, abs_tol=5e-8)
 
 
+def test_minimal_angle_g4_large_radicand():
+    # the radicand m2 * s = 16000001 * 16000003 has no square factor; splitting
+    # it by trial division up to its square root took seconds
+    m1, m2 = 2, 16000001
+    s = m1 + m2
+    ma = catalog.minimal_angle(pair_g4(m1, m2))
+    sin_sq = ma.sin_squared
+    assert sin_sq.rational == Fraction(1, 2) and sin_sq.radicand == m2 * s
+    assert sin_sq.coef**2 * sin_sq.radicand == Fraction(m2, 4 * s)
+    assert math.isclose(float(sin_sq), math.sin(ma.theta) ** 2, rel_tol=1e-8)
+
+
 def test_minimal_angle_g2_tan_squared():
     # tan^2(theta1) = m1/m2; symmetric pair -> theta1 = pi/4
     ma = catalog.minimal_angle(MultiplicityPair(2, 3, 3))

@@ -1,9 +1,10 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
 
-from isospectra.exact import PiRational, Surd, beta_half, gamma_half, sign_of_terms
+from isospectra.exact import PiRational, Surd, _split_square, beta_half, gamma_half, sign_of_terms
 
 
 def test_surd_normalizes_square_factors():
@@ -11,6 +12,30 @@ def test_surd_normalizes_square_factors():
     assert s.rational == 2 and s.coef == 0 and s.radicand == 1
     s = Surd(Fraction(1, 2), Fraction(-1, 8), 8)  # sqrt(8) = 2 sqrt(2)
     assert s.coef == Fraction(-1, 4) and s.radicand == 2
+
+
+def _trial_split_square(n: int) -> tuple[int, int]:
+    """The former normal form: divide out f^2 for every f with f^2 <= the cofactor."""
+    s, r, f = 1, n, 2
+    while f * f <= r:
+        while r % (f * f) == 0:
+            r //= f * f
+            s *= f
+        f += 1
+    return s, r
+
+
+def test_split_square_matches_trial_division():
+    assert _split_square(0) == (1, 0) and _split_square(1) == (1, 1)
+    for n in range(20001):
+        assert _split_square(n) == _trial_split_square(n), n
+    rng = random.Random(1201)
+    large = [rng.randrange(1, 10**9) for _ in range(100)]
+    # square-heavy: a square times a cofactor; p^2 q and p q with primes near 1e6
+    large += [rng.randrange(1, 10**4) ** 2 * rng.randrange(1, 10**4) for _ in range(300)]
+    large += [999983**2 * 1000003, 999983 * 1000003]
+    for n in large:
+        assert _split_square(n) == _trial_split_square(n), n
 
 
 def test_surd_float_and_arithmetic():

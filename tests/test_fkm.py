@@ -6,6 +6,7 @@ import pytest
 
 from isospectra import fkm
 from isospectra.catalog import pair_g4
+from isospectra.clifford import CliffordSystem, build_system
 from isospectra.errors import InvalidPairError, NearFocalError, SamplingError
 from isospectra.fkm import FKMFamily
 
@@ -210,6 +211,92 @@ def test_one_pass_over_the_matrices_per_step(fam43, monkeypatch):
     passes.clear()
     fkm._gauss_newton_focal(fam43, x, iters=4)
     assert len(passes) == 4
+
+
+# -- blocked kernels against the dense unblocked loop -----------------------------------
+
+
+def _reference_forms(family, x):
+    """r, q and grad F from one dense product x @ P_i per matrix over all rows at once."""
+    mats = [p.astype(np.float64) for p in family.system.matrices]
+    r = np.sum(x * x, axis=-1)
+    q = np.empty(x.shape[:-1] + (len(mats),))
+    grad = 4.0 * r[..., None] * x
+    for i, p in enumerate(mats):
+        px = x @ p
+        qi = np.sum(px * x, axis=-1)
+        q[..., i] = qi
+        grad -= 8.0 * qi[..., None] * px
+    return r, q, grad
+
+
+# d = 6, 16 take the dense product; d = 64, 128 the gather
+BLOCK_PAIRS = [(1, 1), (4, 3), (9, 22), (12, 51)]
+
+
+@pytest.fixture(scope="module")
+def block_families():
+    return {pair: FKMFamily.from_pair(*pair) for pair in BLOCK_PAIRS}
+
+
+def _several_blocks(family):
+    """Row count of three full blocks and a ragged fourth."""
+    return 3 * (fkm._BLOCK_ELEMENTS // family.ambient_dim) + 5
+
+
+@pytest.mark.parametrize("pair", BLOCK_PAIRS, ids=lambda p: f"{p[0]}-{p[1]}")
+def test_blocked_kernels_bit_identical(block_families, pair):
+    fam = block_families[pair]
+    assert (fam._float_mats is None) == (fam.ambient_dim >= fkm._GATHER_MIN_DIM)
+    rng = np.random.default_rng(26)
+    rows = _several_blocks(fam)
+    for x in (rng.standard_normal((rows, fam.ambient_dim)), rng.standard_normal(fam.ambient_dim),
+              np.zeros((0, fam.ambient_dim))):
+        r, q, grad = _reference_forms(fam, x)
+        got = fkm._forms_and_gradient(fam, x)
+        assert [a.shape for a in got] == [r.shape, q.shape, grad.shape]
+        assert all(np.array_equal(a, b) for a, b in zip(got, (r, q, grad)))
+        assert np.array_equal(fkm.quadratic_forms(fam, x), q)
+        assert np.array_equal(fkm.grad_F(fam, x), grad)
+        assert np.array_equal(fkm.eval_F(fam, x), r**2 - 2.0 * np.sum(q * q, axis=-1))
+
+
+@pytest.mark.parametrize("pair", BLOCK_PAIRS, ids=lambda p: f"{p[0]}-{p[1]}")
+def test_clouds_match_one_dense_block(block_families, pair, monkeypatch):
+    fam = block_families[pair]
+    count = _several_blocks(fam)
+
+    def clouds(family):
+        return [
+            fkm.sample_level_set(family, 0.2, count, seed=27).points,
+            fkm.sample_focal_M1(family, count, seed=28).points,
+            fkm.sample_focal_M2(family, count, seed=29).points,
+        ]
+
+    blocked = clouds(fam)
+    monkeypatch.setattr(fkm, "_BLOCK_ELEMENTS", 2**62)
+    monkeypatch.setattr(fkm, "_GATHER_MIN_DIM", 2**62)
+    dense = FKMFamily.from_pair(*pair)
+    assert dense._float_mats is not None
+    assert all(np.array_equal(a, b) for a, b in zip(blocked, clouds(dense)))
+
+
+def test_family_rejects_matrices_that_are_no_signed_permutation():
+    system = build_system(4, 1)
+    pair = pair_g4(4, 3)
+    data = json.loads(system.to_json())
+    for corrupt in ("value", "duplicate"):
+        trips = [list(map(list, t)) for t in data["matrices"]]
+        if corrupt == "value":
+            trips[2][0][2] = 2  # an entry of P_2 becomes 2
+        else:
+            trips[2][1][0] = trips[2][0][0]  # two nonzeros of P_2 share a row
+        bad = CliffordSystem.from_json(json.dumps({**data, "matrices": trips}))
+        with pytest.raises(ValueError, match="P_2 is not a signed permutation"):
+            FKMFamily(bad, pair)
+    misshapen = CliffordSystem(system.m, system.l, (*system.matrices[:3], np.eye(3, dtype=np.int64)))
+    with pytest.raises(ValueError, match=r"P_3 has shape \(3, 3\)"):
+        FKMFamily(misshapen, pair)
 
 
 def test_f_bounded_by_one(fam11):

@@ -20,7 +20,6 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 
 from .errors import InvalidPairError, UnsupportedCaseError
 from .exact import Surd
@@ -288,17 +287,12 @@ def sin2_theta1_triplet(pair: MultiplicityPair) -> dict:
     """sin^2(theta_1) of a g=4 pair as {num, den, surd}: (num - sqrt(surd)) / den."""
     surd = minimal_angle(pair).sin_squared
     a, c, d = surd.rational, -surd.coef, surd.radicand
-    den = a.denominator * c.denominator // gcd(a.denominator, c.denominator)
-    num = int(a * den)
-    k = int(c * den)
-    radicand = k * k * d
-    while True:
-        g0 = gcd(num, den)
-        best = next((g for g in range(g0, 1, -1) if g0 % g == 0 and radicand % (g * g) == 0), 1)
-        if best == 1:
-            break
-        num, den, radicand = num // best, den // best, radicand // (best * best)
-    return {"num": num, "den": den, "surd": radicand}
+    den = math.lcm(a.denominator, c.denominator)
+    # Already reduced: no g > 1 divides num and den with g^2 | k^2 d, k = c den.
+    # Such a g would divide k (d is square-free), yet a prime's full power in den
+    # is its power in the denominator of a or of c, so the prime does not divide
+    # num = a den, or does not divide k.
+    return {"num": int(a * den), "den": den, "surd": int(c * den) ** 2 * d}
 
 
 def catalog_entries(max_sum: int) -> list[dict]:

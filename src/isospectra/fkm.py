@@ -21,6 +21,10 @@ x[perm] * sign; below ambient dimension 64 a product with the dense float
 matrix is faster and is used instead.  Either way each entry of P_i x is a
 single entry of x times +-1, so both give the same bits.
 
+Shape operators are exact: they come from the closed-form Hessian
+Hess F = 4 r I + 8 x x^T - 8 sum_i (2 P_i x (P_i x)^T + q_i P_i), restricted
+to the tangent space of the level through the point, through the same pass.
+
 Sampling is deterministic given (seed): one seeded generator drives the whole
 vectorized pass, so results do not depend on scheduling or thread counts.
 Densities are uniform-on-sphere push-forwards, not intrinsic-uniform.
@@ -255,20 +259,19 @@ def parallel_map(family: FKMFamily, x, theta: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class NormalFrame:
-    """Base point, unit normal, and optionally an orthonormal tangent basis."""
+    """Base point, unit normal and an orthonormal tangent basis."""
 
     point: np.ndarray
     normal: np.ndarray
-    tangent_basis: np.ndarray | None = None
+    tangent_basis: np.ndarray
 
 
-def normal_frame(family: FKMFamily, x, with_tangent: bool = True) -> NormalFrame:
-    x = _check_dim(family, np.asarray(x, dtype=np.float64))
+def normal_frame(family: FKMFamily, x) -> NormalFrame:
+    x = _check_dim(family, x)
     if x.ndim != 1:
         raise ValueError("normal_frame expects a single point")
     xi = unit_normal(family, x)
-    basis = _tangent_basis(x, xi) if with_tangent else None
-    return NormalFrame(point=x, normal=xi, tangent_basis=basis)
+    return NormalFrame(point=x, normal=xi, tangent_basis=_tangent_basis(x, xi))
 
 
 def _tangent_basis(x: np.ndarray, xi: np.ndarray) -> np.ndarray:
@@ -479,59 +482,57 @@ def sample_focal_M2(
 
 @dataclass(frozen=True)
 class ShapeSpectrum:
-    """Clustered principal curvatures of a level hypersurface at a point."""
+    """Principal curvatures of a level hypersurface at a point, grouped by target.
+
+    ``targets`` are cot(theta + (alpha-1) pi/4) for alpha = 1..4; ``clusters``
+    holds, per alpha, the mean and the count of the eigenvalues nearest to it.
+    """
 
     eigenvalues: np.ndarray
     clusters: tuple[tuple[float, int], ...]
-    ambiguous: bool
-    targets: tuple[float, ...] | None = None
+    targets: tuple[float, ...]
 
 
-def shape_operator_spectrum(
-    family: FKMFamily, x, theta_level: float | None = None, step: float = 1e-4
-) -> ShapeSpectrum:
-    """Finite-difference shape operator eigenvalues at a regular level point.
+def shape_operator_spectrum(family: FKMFamily, x) -> ShapeSpectrum:
+    """Exact shape operator eigenvalues on the level through x / |x|.
 
-    The unit normal field xi = grad f / |grad f| is differentiated along
-    great-circle directions tangent to the level; A = -(d xi)^tangent.  For a
-    point at distance theta_0 from M1 the eigenvalues are
-    cot(theta_0 + (alpha-1) pi/4), alpha = 1..4, with multiplicities
-    (m1, m2, m1, m2).
-
-    Clusters split at the 3 largest spectral gaps; if those gaps do not
-    dominate the remaining ones the result is flagged ambiguous and the raw
-    spectrum should be consulted.
+    With T = {x, nu}^perp and orthonormal basis rows B, A = -(Hess F - 4 F I)|_T
+    / |grad_S f|, where Hess F = 4 r I + 8 x x^T - 8 sum_i (2 P_i x (P_i x)^T
+    + q_i P_i).  B x = 0 drops the x x^T term, and one pass of P_i over the
+    rows of B gives both B P_i x and B (sum_i q_i P_i) B^T.  The point fixes
+    its own level: theta = level_angle(F(x)), and each eigenvalue is assigned
+    to the nearest of the four targets, whose counts are (m1, m2, m1, m2).
     """
-    x = _check_dim(family, np.asarray(x, dtype=np.float64))
+    x = _check_dim(family, x)
     if x.ndim != 1:
         raise ValueError("shape_operator_spectrum expects a single point")
-    frame = normal_frame(family, x)
-    basis = frame.tangent_basis
-    n = basis.shape[0]
-    plus = math.cos(step) * x[None, :] + math.sin(step) * basis
-    minus = math.cos(step) * x[None, :] - math.sin(step) * basis
-    xi_all = unit_normal(family, np.concatenate([plus, minus], axis=0))
-    dxi = (xi_all[:n] - xi_all[n:]) / (2.0 * math.sin(step))
-    a = -dxi @ basis.T
-    a = 0.5 * (a + a.T)
-    eigs = np.linalg.eigvalsh(a)
+    norm = np.linalg.norm(x)
+    if norm == 0.0:
+        raise ValueError("shape_operator_spectrum needs a nonzero point")
+    x = x / norm
+    r, q, grad = _forms_and_gradient(family, x)
+    f = float(r * r - 2.0 * np.dot(q, q))
+    g = grad - 4.0 * f * x
+    g_norm = np.linalg.norm(g)
+    if g_norm < _FOCAL_GRAD_CUTOFF or not abs(f) < 1.0:
+        raise NearFocalError("point is (nearly) focal; no level hypersurface passes through it")
+    basis = _tangent_basis(x, g / g_norm)
+    bpx = np.empty((len(q), len(basis)))
+    weighted = np.zeros_like(basis)
+    for i, bp in enumerate(_products(family, basis, np.empty_like(basis))):
+        bpx[i] = bp @ x
+        weighted += q[i] * bp
+    a = 16.0 * bpx.T @ bpx + 8.0 * weighted @ basis.T - 4.0 * (r - f) * np.eye(len(basis))
+    eigs = np.linalg.eigvalsh(a / g_norm)
 
-    gaps = np.diff(eigs)
-    order = np.argsort(gaps)[::-1]
-    cuts = np.sort(order[:3])
-    ambiguous = bool(gaps[order[2]] < 10.0 * gaps[order[3]]) if n > 4 else False
-    clusters = []
-    start = 0
-    for cut in list(cuts) + [n - 1]:
-        block = eigs[start : cut + 1]
-        clusters.append((float(block.mean()), int(block.size)))
-        start = cut + 1
-    clusters.reverse()  # descending curvature = alpha order 1..4
-
-    targets = None
-    if theta_level is not None:
-        targets = tuple(1.0 / math.tan(theta_level + a_ * math.pi / 4.0) for a_ in range(4))
-    return ShapeSpectrum(eigenvalues=eigs, clusters=tuple(clusters), ambiguous=ambiguous, targets=targets)
+    theta = level_angle(f)
+    targets = tuple(1.0 / math.tan(theta + alpha * math.pi / 4.0) for alpha in range(4))
+    nearest = np.argmin(np.abs(eigs[:, None] - np.array(targets)), axis=1)
+    clusters = tuple(
+        (float(eigs[nearest == alpha].mean()), int(np.count_nonzero(nearest == alpha)))
+        for alpha in range(4)
+    )
+    return ShapeSpectrum(eigenvalues=eigs, clusters=clusters, targets=targets)
 
 
 def tube_volume_weight(pair: MultiplicityPair, theta1: float, theta: float) -> float:

@@ -264,6 +264,34 @@ def test_sin2_theta1_triplet_values():
         assert math.isclose(val, float(catalog.minimal_angle(pair).sin_squared), rel_tol=1e-14)
 
 
+def _scanned_triplet(pair):
+    """The first implementation: for the largest g | gcd(num, den) with g^2 | k^2 d, scanned down."""
+    surd = catalog.minimal_angle(pair).sin_squared
+    a, c, d = surd.rational, -surd.coef, surd.radicand
+    den = a.denominator * c.denominator // math.gcd(a.denominator, c.denominator)
+    num = int(a * den)
+    k = int(c * den)
+    radicand = k * k * d
+    while True:
+        g0 = math.gcd(num, den)
+        best = next((g for g in range(g0, 1, -1) if g0 % g == 0 and radicand % (g * g) == 0), 1)
+        if best == 1:
+            break
+        num, den, radicand = num // best, den // best, radicand // (best * best)
+    return {"num": num, "den": den, "surd": radicand}
+
+
+def test_sin2_theta1_triplet_matches_scan_oracle():
+    pairs = catalog.admissible_pairs(1500)
+    assert len(pairs) == 3976
+    for pair in pairs:
+        assert catalog.sin2_theta1_triplet(pair) == _scanned_triplet(pair), pair
+    # the scan takes about a second here, one gcd division does not: k = 1
+    # leaves (s - sqrt(m2 s)) / (2 s) unreduced
+    m2, s = 16000001, 16000003
+    assert catalog.sin2_theta1_triplet(pair_g4(2, m2)) == {"num": s, "den": 2 * s, "surd": m2 * s}
+
+
 def test_catalog_json_schema():
     data = json.loads(catalog.catalog_json(10))
     assert data["schema_version"] == 1

@@ -446,50 +446,89 @@ def test_normal_frame(fam11):
     assert np.allclose(basis @ basis.T, np.eye(4), atol=1e-12)
 
 
+@pytest.fixture(scope="module")
+def fam12_51():
+    return FKMFamily.from_pair(12, 51)  # d = 128: P_i x by the gather, not BLAS
+
+
+def _assert_exact_spectrum(fam, x):
+    """Eigenvalues within 1e-12 of cot(theta + (alpha-1) pi/4), counts (m1, m2, m1, m2)."""
+    spec = fkm.shape_operator_spectrum(fam, x)
+    theta = fkm.level_angle(fkm.eval_F(fam, x))
+    expected = [1 / math.tan(theta + a * math.pi / 4) for a in range(4)]
+    assert np.abs(np.array(spec.targets) - expected).max() < 1e-12
+    counts = [c for _, c in spec.clusters]
+    assert counts == [fam.m1, fam.m2, fam.m1, fam.m2]
+    # eigvalsh is ascending and the targets descend
+    assert np.abs(spec.eigenvalues - np.repeat(expected[::-1], counts[::-1])).max() < 1e-12
+    assert np.abs(np.array([v for v, _ in spec.clusters]) - expected).max() < 1e-12
+    return spec
+
+
 def test_shape_operator_spectrum_t0(fam11):
     # at t=0 (theta0 = pi/8): cot(pi/8), cot(3pi/8), cot(5pi/8), cot(7pi/8)
     cloud = fkm.sample_level_set(fam11, 0.0, 3, seed=19)
     expected = [1 / math.tan(math.pi / 8 + a * math.pi / 4) for a in range(4)]
     assert np.allclose(expected, [2.414214, 0.414214, -0.414214, -2.414214], atol=1e-6)
     for x in cloud.points:
-        spec = fkm.shape_operator_spectrum(fam11, x, theta_level=math.pi / 8)
-        assert not spec.ambiguous
-        values = [v for v, _ in spec.clusters]
-        counts = [c for _, c in spec.clusters]
-        assert counts == [1, 1, 1, 1]
-        assert np.abs(np.array(values) - np.array(expected)).max() < 1e-4
+        spec = _assert_exact_spectrum(fam11, x)
+        # the sampler only promises |f| <= 1e-10, which moves cot by at most 1.7e-10
+        assert np.abs(np.array(spec.targets) - expected).max() < 1e-9
 
 
-def test_shape_operator_multiplicities_and_minimality(fam43):
+def test_shape_operator_multiplicities_and_minimality(fam43, fam12_51):
     from isospectra.catalog import minimal_angle
 
-    theta1 = minimal_angle(fam43.pair).theta
-    t = math.cos(4 * theta1)
-    cloud = fkm.sample_level_set(fam43, t, 2, seed=20)
-    spec = fkm.shape_operator_spectrum(fam43, cloud.points[0], theta_level=theta1)
-    counts = [c for _, c in spec.clusters]
-    assert counts == [4, 3, 4, 3]  # (m1, m2, m1, m2)
-    assert sum(counts) == 14  # n
-    expected = [1 / math.tan(theta1 + a * math.pi / 4) for a in range(4)]
-    values = [v for v, _ in spec.clusters]
-    assert np.abs(np.array(values) - np.array(expected)).max() < 1e-4
-    # minimality: weighted curvature sum vanishes
-    weighted = sum(m * v for (v, _), m in zip(spec.clusters, [4, 3, 4, 3]))
-    assert abs(weighted) < 1e-3
+    for fam in (fam43, fam12_51):
+        theta1 = minimal_angle(fam.pair).theta
+        cloud = fkm.sample_level_set(fam, math.cos(4 * theta1), 2, seed=20)
+        for x in cloud.points:
+            spec = _assert_exact_spectrum(fam, x)
+            assert spec.eigenvalues.size == fam.ambient_dim - 2  # n
+            # minimality: the trace of A, the weighted curvature sum, vanishes
+            assert abs(spec.eigenvalues.sum()) < 1e-12
 
 
-def test_shape_operator_cluster_separation(fam43):
-    cloud = fkm.sample_level_set(fam43, 0.5, 2, seed=21)
-    spec = fkm.shape_operator_spectrum(fam43, cloud.points[0])
-    eigs = spec.eigenvalues
-    bounds = []
-    start = 0
-    for _, c in reversed(spec.clusters):  # ascending order
-        bounds.append((start, start + c))
-        start += c
-    spreads = [eigs[a:b].max() - eigs[a:b].min() for a, b in bounds if b - a > 1]
-    gaps = [eigs[b] - eigs[b - 1] for _, b in bounds[:-1]]
-    assert min(gaps) > 10 * max(spreads)
+def test_shape_operator_exact_off_minimal_level(fam43, fam12_51):
+    for fam in (fam43, fam12_51):
+        for t in (0.5, -0.7):
+            for x in fkm.sample_level_set(fam, t, 2, seed=21).points:
+                _assert_exact_spectrum(fam, x)
+
+
+def test_shape_operator_scale_invariant(fam43, fam12_51):
+    for fam in (fam43, fam12_51):
+        x = fkm.sample_level_set(fam, 0.5, 1, seed=22).points[0]
+        spec = fkm.shape_operator_spectrum(fam, x)
+        # a power-of-two scale leaves x / |x| bit for bit
+        for c in (2.0**-20, 8.0):
+            assert np.array_equal(fkm.shape_operator_spectrum(fam, c * x).eigenvalues, spec.eigenvalues)
+        for c in (3.7, 1e-3):
+            scaled = fkm.shape_operator_spectrum(fam, c * x)
+            assert np.abs(scaled.eigenvalues - spec.eigenvalues).max() < 1e-12
+            assert [n for _, n in scaled.clusters] == [n for _, n in spec.clusters]
+
+
+def test_shape_operator_rejects_focal_and_bad_points(fam43, fam12_51):
+    for fam in (fam43, fam12_51):
+        for focal in (fkm.sample_focal_M1(fam, 2, seed=23), fkm.sample_focal_M2(fam, 2, seed=23)):
+            for x in focal.points:
+                with pytest.raises(NearFocalError):
+                    fkm.shape_operator_spectrum(fam, x)
+        # 2e-9 from M1 along the normal P_0 x: |grad_S f| ~ 3e-8 clears the
+        # cutoff, but f rounds to 1, where the targets cot(theta) are undefined
+        x = fkm.sample_focal_M1(fam, 1, seed=24).points[0]
+        near = math.cos(2e-9) * x + math.sin(2e-9) * (fam.system.matrices[0] @ x)
+        assert np.linalg.norm(fkm.spherical_gradient(fam, near)) > 1e-8
+        with pytest.raises(NearFocalError):
+            fkm.shape_operator_spectrum(fam, near)
+        d = fam.ambient_dim
+        with pytest.raises(ValueError, match="nonzero"):
+            fkm.shape_operator_spectrum(fam, np.zeros(d))
+        with pytest.raises(ValueError, match="single point"):
+            fkm.shape_operator_spectrum(fam, np.ones((2, d)))
+        with pytest.raises(ValueError, match="dimension"):
+            fkm.shape_operator_spectrum(fam, np.ones(d + 1))
 
 
 # -- tube volume weight ------------------------------------------------------------------

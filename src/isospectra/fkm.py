@@ -14,8 +14,8 @@ Lap F = 8 (m2 - m1) |x|^2, which the tests exercise as independent oracles.
 The Clifford relations P_i P_j + P_j P_i = 2 delta_ij I give
 <P_i x, P_j x> = delta_ij |x|^2, so one pass that forms each P_i x in turn
 yields r = |x|^2, q_i = <P_i x, x> and grad F = 4 r x - 8 sum_i q_i P_i x at
-once; F, the spherical gradient, the normal and every Newton or Gauss-Newton
-step derive from that one pass.  The pass walks the rows in cache-sized
+once; F, the spherical gradient, the normal and the samplers' normal-geodesic
+transport derive from that one pass.  The pass walks the rows in cache-sized
 blocks.  Every P_i is a signed permutation, so P_i x is the gather
 x[perm] * sign; below ambient dimension 64 a product with the dense float
 matrix is faster and is used instead.  Either way each entry of P_i x is a
@@ -27,7 +27,14 @@ to the tangent space of the level through the point, through the same pass.
 
 Sampling is deterministic given (seed): one seeded generator drives the whole
 vectorized pass, so results do not depend on scheduling or thread counts.
-Densities are uniform-on-sphere push-forwards, not intrinsic-uniform.
+Level-set and M1 clouds are push-forwards of the uniform sphere measure along
+the normal geodesics, and the transport is exact: f(cos s x + sin s xi(x)) =
+cos 4(theta_0 - s) (Münzner 1980).  On a level set that push-forward is the
+normalized volume of the leaf, because the principal curvatures are constant
+on each leaf, so the Jacobian of the transport between leaves depends on the
+distance alone; the tests compare its second moments with uniform sphere draws
+in the shell |f - t| < 1e-3.  Whether the M1 and M2 clouds are
+intrinsic-uniform has not been measured.
 """
 
 from __future__ import annotations
@@ -140,6 +147,15 @@ def _check_dim(family: FKMFamily, x: np.ndarray) -> np.ndarray:
     return x
 
 
+def _unit_points(family: FKMFamily, x) -> np.ndarray:
+    """x / |x| row by row; a zero row raises ValueError."""
+    x = _check_dim(family, x)
+    norms = np.linalg.norm(x, axis=-1, keepdims=True)
+    if np.any(norms == 0.0):
+        raise ValueError("x must be nonzero: the point used is x / |x|")
+    return x / norms
+
+
 def _products(family: FKMFamily, x: np.ndarray, out: np.ndarray):
     """Yield P_i x for i = 0..m, each written into ``out`` (rows of x are points)."""
     if family._float_mats is None:
@@ -233,8 +249,8 @@ def spherical_gradient(family: FKMFamily, x) -> np.ndarray:
 
 
 def unit_normal(family: FKMFamily, x) -> np.ndarray:
-    """xi = spherical gradient normalized; undefined near the focal sets."""
-    g = spherical_gradient(family, x)
+    """xi = spherical gradient at x / |x|, normalized; undefined near the focal sets."""
+    g = spherical_gradient(family, _unit_points(family, x))
     norms = np.linalg.norm(g, axis=-1, keepdims=True)
     if np.any(norms < _FOCAL_GRAD_CUTOFF):
         raise NearFocalError("spherical gradient too small; point is (nearly) focal")
@@ -247,12 +263,12 @@ def level_angle(t: float) -> float:
 
 
 def parallel_map(family: FKMFamily, x, theta: float) -> np.ndarray:
-    """phi_theta(x) = cos(theta) x + sin(theta) xi(x): normal-geodesic transport.
+    """phi_theta(x) = cos(theta) x + sin(theta) xi(x): normal-geodesic transport of x / |x|.
 
     Moving distance theta toward M1 takes the level cos(4 theta_0) to
     cos(4 (theta_0 - theta)); theta = theta_0 lands on M1 itself.
     """
-    x = _check_dim(family, x)
+    x = _unit_points(family, x)
     xi = unit_normal(family, x)
     return math.cos(theta) * x + math.sin(theta) * xi
 
@@ -267,7 +283,8 @@ class NormalFrame:
 
 
 def normal_frame(family: FKMFamily, x) -> NormalFrame:
-    x = _check_dim(family, x)
+    """The frame at x / |x|."""
+    x = _unit_points(family, x)
     if x.ndim != 1:
         raise ValueError("normal_frame expects a single point")
     xi = unit_normal(family, x)
@@ -397,21 +414,15 @@ def sample_level_set(
 
     Each uniform sphere point is transported along its normal geodesic by the
     exact angle that carries its level onto t (the parallel map is exact on an
-    isoparametric family), then polished by two Newton steps on f; rows that
-    miss the tolerance are resampled.
+    isoparametric family); rows that miss the tolerance are resampled.  The
+    cloud samples the normalized volume of the level set.
     """
     if abs(t) >= 1.0 - 1e-6:
         raise NearFocalError(f"level t = {t} is too close to the focal values +-1")
     theta = level_angle(t)
 
     def propose(rng, want):
-        x = _transported_draws(family, rng, want, theta)
-        for _ in range(2):
-            x = _unit_rows(x)
-            f, g = _level_and_tangent(family, x)
-            step = (t - f) / np.maximum(np.sum(g * g, axis=-1), 1e-30)
-            x = x + step[:, None] * g
-        return _unit_rows(x)
+        return _unit_rows(_transported_draws(family, rng, want, theta))
 
     return _sample(family, count, seed, tol, t, t, propose)
 
@@ -442,12 +453,12 @@ def sample_focal_M1(
     """Points of M1 = f^{-1}(1), i.e. {<P_i x, x> = 0 for all i} on the sphere.
 
     Uniform sphere points are transported to the f = 1 end of their normal
-    geodesic and then Gauss-Newton-projected onto the constraint set; rows
-    that fail to reach the residual tolerance are resampled.
+    geodesic, where the exact transport lands on M1; rows that miss the
+    residual tolerance are resampled.
     """
 
     def propose(rng, want):
-        return _unit_rows(_gauss_newton_focal(family, _transported_draws(family, rng, want, 0.0)))
+        return _unit_rows(_transported_draws(family, rng, want, 0.0))
 
     return _sample(family, count, seed, tol, "M1", 1.0, propose)
 
@@ -503,13 +514,9 @@ def shape_operator_spectrum(family: FKMFamily, x) -> ShapeSpectrum:
     its own level: theta = level_angle(F(x)), and each eigenvalue is assigned
     to the nearest of the four targets, whose counts are (m1, m2, m1, m2).
     """
-    x = _check_dim(family, x)
+    x = _unit_points(family, x)
     if x.ndim != 1:
         raise ValueError("shape_operator_spectrum expects a single point")
-    norm = np.linalg.norm(x)
-    if norm == 0.0:
-        raise ValueError("shape_operator_spectrum needs a nonzero point")
-    x = x / norm
     r, q, grad = _forms_and_gradient(family, x)
     f = float(r * r - 2.0 * np.dot(q, q))
     g = grad - 4.0 * f * x

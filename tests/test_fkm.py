@@ -213,6 +213,37 @@ def test_one_pass_over_the_matrices_per_step(fam43, monkeypatch):
     assert len(passes) == 4
 
 
+def test_samplers_make_one_pass_per_batch(fam43, monkeypatch):
+    passes, checks = [], []
+    kernel, check = fkm._forms_and_gradient, fkm.eval_F
+
+    def counting_kernel(family, x):
+        passes.append(1)
+        return kernel(family, x)
+
+    def counting_check(family, x):
+        checks.append(1)
+        return check(family, x)
+
+    def no_polish(*args, **kwargs):
+        raise AssertionError("a sampler called _gauss_newton_focal")
+
+    monkeypatch.setattr(fkm, "_forms_and_gradient", counting_kernel)
+    monkeypatch.setattr(fkm, "eval_F", counting_check)
+    monkeypatch.setattr(fkm, "_gauss_newton_focal", no_polish)
+    for sample, kernel_passes in (
+        (lambda: fkm.sample_level_set(fam43, 0.2, 500, seed=30), 1),
+        (lambda: fkm.sample_focal_M1(fam43, 500, seed=31), 1),
+        (lambda: fkm.sample_focal_M2(fam43, 500, seed=32), 0),
+    ):
+        passes.clear()
+        checks.clear()
+        assert sample().count == 500
+        # one proposal batch filled the cloud: one transport pass and one check
+        assert len(checks) == 1
+        assert len(passes) == kernel_passes
+
+
 # -- blocked kernels against the dense unblocked loop -----------------------------------
 
 
@@ -392,6 +423,43 @@ def test_parallel_map_identity_and_focal_landing(fam11):
     assert np.abs(fkm.eval_F(fam11, z) - 1).max() < 1e-8
 
 
+@pytest.mark.parametrize("pair", BLOCK_PAIRS, ids=lambda p: f"{p[0]}-{p[1]}")
+def test_transport_is_exact(block_families, pair):
+    # f(cos s x + sin s xi) = cos 4(theta_0 - s) holds to rounding, with no polishing
+    fam = block_families[pair]
+    rng = np.random.default_rng(33)
+    for t in (-0.999998, -0.3, 0.3, 0.999998):
+        x = fkm._unit_rows(fkm._transported_draws(fam, rng, 2000, fkm.level_angle(t)))
+        assert len(x) > 1900
+        assert np.abs(fkm.eval_F(fam, x) - t).max() <= 1e-13
+    x = fkm._unit_rows(fkm._transported_draws(fam, rng, 2000, 0.0))
+    assert len(x) > 1900
+    assert np.abs(fkm.eval_F(fam, x) - 1.0).max() <= 1e-13
+    assert np.abs(fkm.quadratic_forms(fam, x)).max() <= 1e-13
+
+
+def test_level_set_cloud_samples_the_leaf_volume(fam11):
+    # uniform sphere draws in the shell |f - t| < 1e-3 sample the leaf's volume
+    # up to O(1e-3); the transported cloud must give the same second moments
+    rng = np.random.default_rng(34)
+    d = fam11.ambient_dim
+
+    def moments(x):
+        q0 = fkm.quadratic_forms(fam11, x)[:, 0]
+        return np.column_stack([q0**2, x[:, 0] ** 2, x[:, 0] * x[:, 1]])
+
+    for t in (0.3, -0.7):
+        shell = []
+        while sum(map(len, shell)) < 2000:
+            x = rng.standard_normal((500_000, d))
+            x /= np.linalg.norm(x, axis=1, keepdims=True)
+            shell.append(x[np.abs(fkm.eval_F(fam11, x) - t) < 1e-3])
+        ref = moments(np.concatenate(shell))
+        got = moments(fkm.sample_level_set(fam11, t, 20_000, seed=35).points)
+        se = np.sqrt(ref.var(axis=0) / len(ref) + got.var(axis=0) / len(got))
+        assert np.all(np.abs(got.mean(axis=0) - ref.mean(axis=0)) < 5 * se)
+
+
 def test_sample_focal_M1(fam11, fam43):
     for fam in (fam11, fam43):
         cloud = fkm.sample_focal_M1(fam, 300, seed=14)
@@ -432,6 +500,26 @@ def test_sample_focal_M2_parallel_characterization(fam11):
 
 
 # -- normal frames and shape operator ---------------------------------------------------
+
+
+def test_normal_and_transport_act_on_the_unit_point(fam43):
+    x = fkm.sample_level_set(fam43, 0.5, 1, seed=36).points[0]
+    frame = fkm.normal_frame(fam43, 2.0 * x)
+    assert abs(np.dot(frame.normal, x)) < 1e-12
+    assert np.abs(frame.point - x).max() < 1e-15
+    y = fkm.parallel_map(fam43, 2.0 * x, 0.1)
+    assert abs(np.dot(y, y) - 1.0) < 1e-12
+    assert np.abs(y - fkm.parallel_map(fam43, x, 0.1)).max() < 1e-15
+    d = fam43.ambient_dim
+    for call in (
+        lambda z: fkm.unit_normal(fam43, z),
+        lambda z: fkm.normal_frame(fam43, z),
+        lambda z: fkm.parallel_map(fam43, z, 0.1),
+    ):
+        with pytest.raises(ValueError, match="nonzero"):
+            call(np.zeros(d))
+    with pytest.raises(ValueError, match="nonzero"):
+        fkm.unit_normal(fam43, np.stack([x, np.zeros(d)]))
 
 
 def test_normal_frame(fam11):

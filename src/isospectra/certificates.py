@@ -127,7 +127,8 @@ def quad(func, a, b, epsrel: float, limit: int):
     that is the size of the 20-point error).  While the summed estimate exceeds
     epsrel |value|, every interval above an even share of that tolerance is cut
     into 8, all of them evaluated in one call of ``func``, as long as no more
-    than ``limit`` intervals result.
+    than ``limit`` intervals result.  A NaN or infinite estimate raises
+    ValueError.
     """
     lo, hi = np.array([a], dtype=float), np.array([b], dtype=float)
     val, err = _gauss_pair(func, lo, hi)
@@ -135,8 +136,14 @@ def quad(func, a, b, epsrel: float, limit: int):
         value, error = float(val.sum()), float(err.sum())
         tol = epsrel * abs(value)
         split = err > tol / len(lo)
-        if error <= tol or len(lo) + (len(_CUTS) - 2) * np.count_nonzero(split) > limit:
+        splits = np.count_nonzero(split)
+        if error <= tol or len(lo) + (len(_CUTS) - 2) * splits > limit:
             return value, error
+        if not splits:
+            # no interval is above its share: rounding in the sum, or a NaN
+            if math.isfinite(value) and math.isfinite(error):
+                return value, error
+            raise ValueError(f"quadrature is not finite: value {value}, error estimate {error}")
         edges = lo[split, None] + (hi - lo)[split, None] * _CUTS
         edges[:, -1] = hi[split]
         keep = ~split

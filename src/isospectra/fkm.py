@@ -27,6 +27,11 @@ to the tangent space of the level through the point, through the same pass.
 
 Sampling is deterministic given (seed): one seeded generator drives the whole
 vectorized pass, so results do not depend on scheduling or thread counts.
+Each batch streams into the cloud's own array: a proposal draws straight into
+the unfilled tail, turns the draws into candidates in place one row block at a
+time, and the rows it drops or that miss the level check are compacted away
+in place.  Besides the cloud, a call holds the per-row forms, a few blocks
+and, on level sets and M1, the gradient of the batch.
 Level-set and M1 clouds are push-forwards of the uniform sphere measure along
 the normal geodesics, and the transport is exact: f(cos s x + sin s xi(x)) =
 cos 4(theta_0 - s) (Münzner 1980).  On a level set that push-forward is the
@@ -142,6 +147,8 @@ class FKMFamily:
 
 def _check_dim(family: FKMFamily, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
+    if x.ndim == 0:
+        raise ValueError(f"point is a scalar, family lives on R^{family.ambient_dim}")
     if x.shape[-1] != family.ambient_dim:
         raise ValueError(f"point has dimension {x.shape[-1]}, family lives on R^{family.ambient_dim}")
     return x
@@ -169,20 +176,25 @@ def _products(family: FKMFamily, x: np.ndarray, out: np.ndarray):
             yield np.matmul(x, p, out=out)
 
 
+def _block_slices(n: int, d: int):
+    """Slices over n rows of width d, about ``_BLOCK_ELEMENTS`` values each."""
+    step = max(1, _BLOCK_ELEMENTS // d)
+    return [slice(start, min(start + step, n)) for start in range(0, n, step)]
+
+
 def _row_blocks(family: FKMFamily, x: np.ndarray):
     """Walk the rows of 2-D x in blocks of about ``_BLOCK_ELEMENTS`` values.
 
-    Yields ``(rows, block, products, scratch)``: the slice, x[rows], the
-    generator of P_i block for i = 0..m, and a spare array of the block's
+    Yields ``(rows, block, products, scratch)``: the slice, the view x[rows],
+    the generator of P_i block for i = 0..m, and a spare array of the block's
     shape.  The products' buffer and the spare array are reused from block to
-    block.
+    block; a caller may overwrite each P_i block once it has been yielded.
     """
     n, d = x.shape
-    step = max(1, _BLOCK_ELEMENTS // d)
-    buf = np.empty((min(step, n), d))
+    blocks = _block_slices(n, d)
+    buf = np.empty((blocks[0].stop if blocks else 0, d))
     scratch = np.empty_like(buf)
-    for start in range(0, n, step):
-        rows = slice(start, min(start + step, n))
+    for rows in blocks:
         block = x[rows]
         size = len(block)
         yield rows, block, _products(family, block, buf[:size]), scratch[:size]
@@ -232,9 +244,14 @@ def quadratic_forms(family: FKMFamily, x) -> np.ndarray:
 def eval_F(family: FKMFamily, x) -> np.ndarray | float:
     """F(x) = |x|^4 - 2 sum_i <P_i x, x>^2 (homogeneous of degree 4)."""
     x = _check_dim(family, x)
-    norm_sq = np.sum(x * x, axis=-1)
     q = quadratic_forms(family, x)
-    out = norm_sq**2 - 2.0 * np.sum(q * q, axis=-1)
+    flat = x.reshape(-1, x.shape[-1])
+    flat_q = q.reshape(-1, q.shape[-1])
+    out = np.empty(len(flat))
+    for rows, xb, _, tmp in _row_blocks(family, flat):
+        qb = flat_q[rows]
+        out[rows] = np.sum(np.multiply(xb, xb, out=tmp), axis=-1) ** 2 - 2.0 * np.sum(qb * qb, axis=-1)
+    out = out.reshape(x.shape[:-1])
     return float(out) if out.ndim == 0 else out
 
 
@@ -358,14 +375,31 @@ def _family_meta(family: FKMFamily) -> dict:
     }
 
 
-def _unit_rows(x: np.ndarray) -> np.ndarray:
-    return x / np.linalg.norm(x, axis=-1, keepdims=True)
+def _row_norms(x: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """|x| of each row of the block x, through the scratch array tmp of x's shape."""
+    return np.sqrt(np.sum(np.multiply(x, x, out=tmp), axis=-1))
+
+
+def _compact(x: np.ndarray, keep: np.ndarray) -> int:
+    """Move the rows of x where ``keep`` holds to its front, in order; return how many.
+
+    The move goes block by block, so no copy is larger than a block: row j
+    comes from a row idx[j] >= j, which no earlier block has written.
+    """
+    idx = np.flatnonzero(keep)
+    if len(idx) < len(x):
+        for rows in _block_slices(len(idx), x.shape[1]):
+            x[rows] = x[idx[rows]]
+    return len(idx)
 
 
 def _sample(family: FKMFamily, count, seed: int, tol, level, target: float, propose) -> PointCloud:
     """The rejection loop of every sampler: keep the rows with |f - target| <= tol.
 
-    ``propose(rng, want)`` returns at most ``want`` candidate rows.  Sampling
+    The cloud's array is filled in place.  ``propose(rng, out)`` draws
+    ``len(out)`` candidates for the unfilled tail ``out`` of the cloud, writes
+    those it keeps to the front of ``out`` and returns their count; the
+    candidates that miss the tolerance are then compacted away.  Sampling
     fails after ``_MAX_ATTEMPTS`` batches, or once at least 2*count draws have
     been made and more than half of them failed.
     """
@@ -375,7 +409,7 @@ def _sample(family: FKMFamily, count, seed: int, tol, level, target: float, prop
         raise ValueError(f"tol must be > 0, got {tol!r}")
     name = level if isinstance(level, str) else f"level set f = {level}"
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    out = np.zeros((count, family.ambient_dim))
+    out = np.empty((count, family.ambient_dim))
     filled = 0
     drawn = 0
     attempts = 0
@@ -383,28 +417,42 @@ def _sample(family: FKMFamily, count, seed: int, tol, level, target: float, prop
         attempts += 1
         if attempts > _MAX_ATTEMPTS:
             raise SamplingError(f"sampling {name} filled only {filled} of {count} points")
-        want = count - filled
-        cand = propose(rng, want)
-        drawn += want
-        resid = np.abs(np.asarray(eval_F(family, cand)) - target)
-        good = cand[resid <= tol]
-        out[filled : filled + good.shape[0]] = good
-        filled += good.shape[0]
+        cand = out[filled:]
+        made = propose(rng, cand)
+        drawn += len(cand)
+        resid = np.abs(eval_F(family, cand[:made]) - target)
+        filled += _compact(cand[:made], resid <= tol)
         if drawn >= 2 * count and filled < drawn // 2:
             raise SamplingError(f"sampling {name} failed for more than half of {drawn} draws")
     return PointCloud(out, level, seed, tol, _family_meta(family))
 
 
-def _transported_draws(family: FKMFamily, rng, want: int, theta: float) -> np.ndarray:
+def _transported_draws(family: FKMFamily, rng, out: np.ndarray, theta: float) -> int:
     """Uniform sphere points moved along their normal geodesic to level cos(4 theta).
 
-    Draws within 1e-8 of a focal value, where the normal is undefined, are dropped.
+    Draws ``len(out)`` standard normal rows into ``out`` and turns them, in
+    place and block by block, into the unit rows of their transported points;
+    returns how many it kept at the front of ``out``.  Draws within 1e-8 of a
+    focal value, where the normal is undefined, are dropped.
     """
-    draw = _unit_rows(rng.standard_normal((want, family.ambient_dim)))
-    f0, g = _level_and_tangent(family, draw)
-    ok = np.abs(f0) < 1.0 - 1e-8
-    move = np.arccos(f0[ok]) / 4.0 - theta
-    return np.cos(move)[:, None] * draw[ok] + np.sin(move)[:, None] * _unit_rows(g[ok])
+    rng.standard_normal(out=out)
+    for _, x, _, tmp in _row_blocks(family, out):
+        x /= _row_norms(x, tmp)[:, None]
+    r, q, grad = _forms_and_gradient(family, out)
+    keep = np.empty(len(out), dtype=bool)
+    for rows, x, _, tmp in _row_blocks(family, out):
+        qb = q[rows]
+        f = r[rows] ** 2 - 2.0 * np.sum(qb * qb, axis=-1)
+        keep[rows] = ok = np.abs(f) < 1.0 - 1e-8
+        # the spherical gradient, then the unit normal; dropped rows divide by 1
+        xi = grad[rows]
+        xi -= np.multiply(4.0 * f[:, None], x, out=tmp)
+        xi /= np.where(ok, _row_norms(xi, tmp), 1.0)[:, None]
+        move = np.arccos(np.where(ok, f, 1.0)) / 4.0 - theta
+        x *= np.cos(move)[:, None]
+        x += np.multiply(np.sin(move)[:, None], xi, out=tmp)
+        x /= _row_norms(x, tmp)[:, None]
+    return _compact(out, keep)
 
 
 def sample_level_set(
@@ -417,14 +465,14 @@ def sample_level_set(
     isoparametric family); rows that miss the tolerance are resampled.  The
     cloud samples the normalized volume of the level set.
     """
+    if not math.isfinite(t):
+        raise ValueError(f"level t must be finite, got t = {t}")
     if abs(t) >= 1.0 - 1e-6:
         raise NearFocalError(f"level t = {t} is too close to the focal values +-1")
     theta = level_angle(t)
-
-    def propose(rng, want):
-        return _unit_rows(_transported_draws(family, rng, want, theta))
-
-    return _sample(family, count, seed, tol, t, t, propose)
+    return _sample(
+        family, count, seed, tol, t, t, lambda rng, out: _transported_draws(family, rng, out, theta)
+    )
 
 
 def _gauss_newton_focal(family: FKMFamily, x: np.ndarray, iters: int = 4) -> np.ndarray:
@@ -456,11 +504,33 @@ def sample_focal_M1(
     geodesic, where the exact transport lands on M1; rows that miss the
     residual tolerance are resampled.
     """
+    return _sample(
+        family, count, seed, tol, "M1", 1.0, lambda rng, out: _transported_draws(family, rng, out, 0.0)
+    )
 
-    def propose(rng, want):
-        return _unit_rows(_transported_draws(family, rng, want, 0.0))
 
-    return _sample(family, count, seed, tol, "M1", 1.0, propose)
+def _eigenspace_draws(family: FKMFamily, rng, out: np.ndarray) -> int:
+    """Unit points of M2 written to the front of ``out``; returns how many.
+
+    Per row, a unit c is drawn in R^{m+1} and y standard normal, straight into
+    ``out``; y + sum_i c_i P_i y, normalized in place, is the candidate.  Rows
+    whose norm is <= 1e-6 are dropped.
+    """
+    c = rng.standard_normal((len(out), len(family._perms)))
+    rng.standard_normal(out=out)
+    keep = np.empty(len(out), dtype=bool)
+    for rows, y, products, acc in _row_blocks(family, out):
+        cb = c[rows]
+        cb /= np.linalg.norm(cb, axis=-1, keepdims=True)
+        acc[...] = 0.0
+        for i, p in enumerate(products):
+            p *= cb[:, i : i + 1]
+            acc += p
+        y += acc
+        norms = _row_norms(y, acc)
+        keep[rows] = ok = norms > 1e-6
+        y /= np.where(ok, norms, 1.0)[:, None]
+    return _compact(out, keep)
 
 
 def sample_focal_M2(
@@ -471,21 +541,9 @@ def sample_focal_M2(
     For a unit c in R^{m+1}, P = sum c_i P_i satisfies P^2 = I; any unit x in
     its +1 eigenspace has sum_i <P_i x, x>^2 = 1, hence f(x) = -1 exactly.
     """
-
-    def propose(rng, want):
-        c = _unit_rows(rng.standard_normal((want, len(family._perms))))
-        y = rng.standard_normal((want, family.ambient_dim))
-        cand = np.empty_like(y)
-        for rows, yb, products, py in _row_blocks(family, y):
-            py[...] = 0.0
-            for i, p in enumerate(products):
-                py += c[rows, i : i + 1] * p
-            np.add(yb, py, out=cand[rows])
-        norms = np.linalg.norm(cand, axis=-1)
-        ok = norms > 1e-6
-        return cand[ok] / norms[ok, None]
-
-    return _sample(family, count, seed, tol, "M2", -1.0, propose)
+    return _sample(
+        family, count, seed, tol, "M2", -1.0, lambda rng, out: _eigenspace_draws(family, rng, out)
+    )
 
 
 # -- shape operator ----------------------------------------------------------------

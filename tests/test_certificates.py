@@ -2,6 +2,7 @@ import math
 from fractions import Fraction
 
 import mpmath
+import numpy as np
 import pytest
 
 from isospectra import certificates as certs
@@ -136,6 +137,20 @@ def test_quadrature_error_covers_closed_form():
     for pair in _catalog_sample() + [pair_g4(2, 1000001), pair_g4(4, 399999)]:
         for v in (certs.integral_G(pair), certs.integral_K(pair, 1), certs.integral_K(pair, 4)):
             assert abs(v.value - v.quadrature) <= v.quadrature_error + v.error_bound, (pair.m1, pair.m2)
+
+
+def test_quad_rejects_a_nan_integrand():
+    # a NaN estimate leaves no interval above its share of the tolerance, so
+    # nothing is cut and the interval limit never trips
+    calls = []
+
+    def nan_on_right_half(x):
+        calls.append(1)
+        assert len(calls) < 50, "quad keeps evaluating a NaN integrand"
+        return np.where(x > 0.5, np.nan, 1.0)
+
+    with pytest.raises(ValueError, match="not finite"):
+        certs.quad(nan_on_right_half, 0.0, 1.0, 1e-12, 200)
 
 
 def test_certify_without_factorial_route(monkeypatch):

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -59,6 +60,12 @@ def test_eval_F_zero_and_homogeneity(fam43):
 def test_eval_F_dimension_mismatch(fam11):
     with pytest.raises(ValueError, match="dimension"):
         fkm.eval_F(fam11, np.zeros(5))
+
+
+def test_scalar_point_is_rejected(fam11):
+    for call in (fkm.eval_F, fkm.grad_F, fkm.quadratic_forms, fkm.spherical_gradient, fkm.unit_normal):
+        with pytest.raises(ValueError, match="scalar"):
+            call(fam11, 3.0)
 
 
 def test_grad_F_matches_finite_differences(fam43):
@@ -312,6 +319,150 @@ def test_clouds_match_one_dense_block(block_families, pair, monkeypatch):
     assert all(np.array_equal(a, b) for a, b in zip(blocked, clouds(dense)))
 
 
+# -- streamed proposals against the whole-batch ones ---------------------------------------
+
+
+def _unit_rows(x):
+    return x / np.linalg.norm(x, axis=-1, keepdims=True)
+
+
+def _reference_transported(family, rng, want, theta):
+    """Unit rows of draws transported to level cos(4 theta), whole batch at a time."""
+    draw = _unit_rows(rng.standard_normal((want, family.ambient_dim)))
+    r, q, grad = _reference_forms(family, draw)
+    f0 = r**2 - 2.0 * np.sum(q * q, axis=-1)
+    g = grad - 4.0 * f0[:, None] * draw
+    ok = np.abs(f0) < 1.0 - 1e-8
+    move = np.arccos(f0[ok]) / 4.0 - theta
+    return _unit_rows(np.cos(move)[:, None] * draw[ok] + np.sin(move)[:, None] * _unit_rows(g[ok]))
+
+
+def _reference_eigenspace(family, rng, want):
+    """Unit rows of y + sum_i c_i P_i y, whole batch at a time, products by dense matmul."""
+    c = _unit_rows(rng.standard_normal((want, len(family.system.matrices))))
+    y = rng.standard_normal((want, family.ambient_dim))
+    py = np.zeros_like(y)
+    for i, p in enumerate(family.system.matrices):
+        py += c[:, i : i + 1] * (y @ p.astype(np.float64))
+    cand = y + py
+    norms = np.linalg.norm(cand, axis=-1)
+    ok = norms > 1e-6
+    return cand[ok] / norms[ok, None]
+
+
+def _reference_sample(family, count, seed, tol, target, propose):
+    """The rejection loop with a fresh array per batch: ``propose(rng, want)`` returns the rows."""
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    out = np.zeros((count, family.ambient_dim))
+    filled = 0
+    while filled < count:
+        cand = propose(rng, count - filled)
+        good = cand[np.abs(fkm.eval_F(family, cand) - target) <= tol]
+        out[filled : filled + len(good)] = good
+        filled += len(good)
+    return out
+
+
+def _both_clouds(fam, which, count, seed, wrap_rng=lambda rng: rng, before_each=lambda: None):
+    """The (streamed, reference) clouds of one sampler; ``wrap_rng`` may alter the draws."""
+    if which == "M2":
+        target = -1.0
+        new = lambda rng, out: fkm._eigenspace_draws(fam, wrap_rng(rng), out)
+        old = lambda rng, want: _reference_eigenspace(fam, wrap_rng(rng), want)
+    else:
+        target = 1.0 if which == "M1" else 0.2
+        theta = fkm.level_angle(target)
+        new = lambda rng, out: fkm._transported_draws(fam, wrap_rng(rng), out, theta)
+        old = lambda rng, want: _reference_transported(fam, wrap_rng(rng), want, theta)
+    before_each()
+    streamed = fkm._sample(fam, count, seed, 1e-10, which, target, new).points
+    before_each()
+    return streamed, _reference_sample(fam, count, seed, 1e-10, target, old)
+
+
+@pytest.mark.parametrize("pair", BLOCK_PAIRS, ids=lambda p: f"{p[0]}-{p[1]}")
+def test_streamed_clouds_match_whole_batch_reference(block_families, pair):
+    fam = block_families[pair]
+    for which in ("level", "M1", "M2"):
+        for count in (7, _several_blocks(fam)):
+            for seed in (40, 41):
+                streamed, reference = _both_clouds(fam, which, count, seed)
+                assert np.array_equal(streamed, reference), (which, count, seed)
+    # the samplers themselves stream through the same proposals
+    for which, cloud in (("level", fkm.sample_level_set(fam, 0.2, 7, seed=40)),
+                         ("M1", fkm.sample_focal_M1(fam, 7, seed=40)),
+                         ("M2", fkm.sample_focal_M2(fam, 7, seed=40))):
+        assert np.array_equal(cloud.points, _both_clouds(fam, which, 7, 40)[1]), which
+
+
+class _FifthRowsReplaced:
+    """A generator whose normal draws of width len(row) have every 5th row set to ``row``."""
+
+    def __init__(self, rng, row):
+        self.rng, self.row = rng, row
+
+    def standard_normal(self, size=None, out=None):
+        x = self.rng.standard_normal(size=size, out=out)
+        if x.shape[-1] == len(self.row):
+            x[4::5] = self.row
+        return x
+
+
+@pytest.mark.parametrize("pair", [(4, 3), (12, 51)], ids=lambda p: f"{p[0]}-{p[1]}")
+def test_compaction_of_dropped_and_rejected_rows(block_families, pair, monkeypatch):
+    fam = block_families[pair]
+    real = fkm.eval_F
+
+    def misses_every_7th_row_once():
+        first = []
+
+        def check(family, x):
+            f = real(family, x)
+            if not first:
+                first.append(1)
+                f[::7] += 1.0
+            return f
+
+        return check
+
+    count = _several_blocks(fam)
+    # every 5th draw is a point of M1, where the normal is undefined, or a zero
+    # y, whose eigenspace projection vanishes: both are dropped by the proposal
+    focal = 3.0 * fkm.sample_focal_M1(fam, 1, seed=42).points[0]
+    zero = np.zeros(fam.ambient_dim)
+    for which, row in (("level", focal), ("M1", focal), ("M2", zero)):
+        streamed, reference = _both_clouds(
+            fam, which, count, 43, lambda rng: _FifthRowsReplaced(rng, row),
+            lambda: monkeypatch.setattr(fkm, "eval_F", misses_every_7th_row_once()),
+        )
+        assert np.array_equal(streamed, reference), which
+        assert np.abs(real(fam, streamed) - {"level": 0.2, "M1": 1.0, "M2": -1.0}[which]).max() < 1e-10
+
+
+def test_compact_moves_kept_rows_to_the_front(monkeypatch):
+    monkeypatch.setattr(fkm, "_BLOCK_ELEMENTS", 6)  # blocks of 2 rows of width 3
+    rng = np.random.default_rng(44)
+    for keep in (rng.random(11) < 0.6, np.zeros(11, bool), np.ones(11, bool)):
+        x = rng.standard_normal((11, 3))
+        expected = x[keep].copy()
+        assert fkm._compact(x, keep) == len(expected)
+        assert np.array_equal(x[: len(expected)], expected)
+
+
+def test_m2_sampler_memory_stays_near_the_cloud(block_families):
+    # the proposal writes into the cloud itself, so the peak is the cloud plus
+    # O(batch * (m+1)) forms and a few blocks: 1.2x here, 5x with whole-batch temporaries
+    fam = block_families[(9, 22)]
+    fkm.sample_focal_M2(fam, 10, seed=45)
+    tracemalloc.start()
+    try:
+        cloud = fkm.sample_focal_M2(fam, 25_000, seed=45)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * cloud.points.nbytes
+
+
 def test_family_rejects_matrices_that_are_no_signed_permutation():
     system = build_system(4, 1)
     pair = pair_g4(4, 3)
@@ -353,6 +504,13 @@ def test_sample_level_set_empty_and_near_focal(fam11):
     assert empty.count == 0 and empty.points.shape == (0, 6)
     with pytest.raises(NearFocalError):
         fkm.sample_level_set(fam11, 0.9999999, 10, seed=0)
+
+
+def test_sample_level_set_rejects_a_non_finite_level(fam11):
+    for t in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(ValueError, match="finite") as caught:
+            fkm.sample_level_set(fam11, t, 10, seed=0)
+        assert not isinstance(caught.value, NearFocalError)
 
 
 SAMPLERS = {
@@ -429,10 +587,12 @@ def test_transport_is_exact(block_families, pair):
     fam = block_families[pair]
     rng = np.random.default_rng(33)
     for t in (-0.999998, -0.3, 0.3, 0.999998):
-        x = fkm._unit_rows(fkm._transported_draws(fam, rng, 2000, fkm.level_angle(t)))
+        x = np.empty((2000, fam.ambient_dim))
+        x = x[: fkm._transported_draws(fam, rng, x, fkm.level_angle(t))]
         assert len(x) > 1900
         assert np.abs(fkm.eval_F(fam, x) - t).max() <= 1e-13
-    x = fkm._unit_rows(fkm._transported_draws(fam, rng, 2000, 0.0))
+    x = np.empty((2000, fam.ambient_dim))
+    x = x[: fkm._transported_draws(fam, rng, x, 0.0)]
     assert len(x) > 1900
     assert np.abs(fkm.eval_F(fam, x) - 1.0).max() <= 1e-13
     assert np.abs(fkm.quadratic_forms(fam, x)).max() <= 1e-13

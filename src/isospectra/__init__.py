@@ -11,4 +11,9 @@ Modules by concern:
                     kept as the oracle the certificates are tested against
 """
 
+import logging
+
 __version__ = "0.1.0"
+
+# the package logs at DEBUG (sampling counters) and is silent unless the caller adds a handler
+logging.getLogger(__name__).addHandler(logging.NullHandler())

@@ -16,10 +16,12 @@ The Clifford relations P_i P_j + P_j P_i = 2 delta_ij I give
 yields r = |x|^2, q_i = <P_i x, x> and grad F = 4 r x - 8 sum_i q_i P_i x at
 once; F, the spherical gradient, the normal and the samplers' normal-geodesic
 transport derive from that one pass.  The pass walks the rows in cache-sized
-blocks.  Every P_i is a signed permutation, so P_i x is the gather
-x[perm] * sign; below ambient dimension 64 a product with the dense float
-matrix is faster and is used instead.  Either way each entry of P_i x is a
-single entry of x times +-1, so both give the same bits.
+blocks.  Every P_i is a signed permutation, so row r of P_i x is
+sign_r x_{perm_r}: the family keeps one index per P_i into [x | -x], built once
+per block, and P_i x is a single gather with the signs included.  Below ambient
+dimension 32 a product with the dense float matrix is faster and is used
+instead.  Either way each entry of P_i x is a single entry of x times +-1, so
+both give the same bits.
 
 Shape operators are exact: they come from the closed-form Hessian
 Hess F = 4 r I + 8 x x^T - 8 sum_i (2 P_i x (P_i x)^T + q_i P_i), restricted
@@ -30,8 +32,14 @@ vectorized pass, so results do not depend on scheduling or thread counts.
 Each batch streams into the cloud's own array: a proposal draws straight into
 the unfilled tail, turns the draws into candidates in place one row block at a
 time, and the rows it drops or that miss the level check are compacted away
-in place.  Besides the cloud, a call holds the per-row forms, a few blocks
-and, on level sets and M1, the gradient of the batch.
+in place.  The M2 proposal y + sum_i c_i P_i y accumulates each block
+feature-major on the gather path, so that every P_i y is a gather of whole
+contiguous rows; each entry still adds the same products in the same order.
+Besides the cloud, a call holds the level check's per-row forms q, for M2
+the coefficients c, and a few block-sized buffers; the level-set and M1
+transport forms the gradient block by block.  Each cloud's meta records its draws,
+batches, dropped and rejected candidates and its worst residual, and the
+``isospectra`` logger reports them at DEBUG.
 Level-set and M1 clouds are push-forwards of the uniform sphere measure along
 the normal geodesics, and the transport is exact: f(cos s x + sin s xi(x)) =
 cos 4(theta_0 - s) (Münzner 1980).  On a level set that push-forward is the
@@ -46,6 +54,7 @@ from __future__ import annotations
 
 import csv
 import json
+import logging
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -56,7 +65,9 @@ from .catalog import MultiplicityPair, clifford_multiplier, delta
 from .clifford import CliffordSystem, build_system, signed_permutation
 from .errors import InvalidPairError, NearFocalError, SamplingError
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
+
+_log = logging.getLogger(__name__)
 
 _LEVEL_TOL = 1e-10
 _FOCAL_GRAD_CUTOFF = 1e-8
@@ -66,15 +77,29 @@ _MAX_ATTEMPTS = 50
 # cache whatever the batch size.  Blocks of 2^14-2^15 values sampled fastest;
 # one block for the whole batch was 4-36% slower at d = 16-256.
 _BLOCK_ELEMENTS = 2**15
-# From this ambient dimension on, P_i x is formed by a gather (np.take of the
-# permuted columns, then a multiply by the signs), O(d) per row; below it by a
-# BLAS product with the dense float matrix, O(d^2) per row.  A d <= 32 matrix
-# fits in L1 and BLAS streams the block once, while the gather makes two passes
-# over it, so at d = 16 and 32 the samplers took 0.91-1.20x the BLAS time with
-# the gather, BLAS ahead in 4 of 5 runs.  At d = 64 the d^2 work dominates and
-# the gather took 0.80x the BLAS time, 0.55x at 128 and 0.32x at 256 (2-vCPU
-# Xeon, one BLAS thread; "crossover" in BENCH_fkm_gather_blocks.json).
-_GATHER_MIN_DIM = 64
+# From this ambient dimension on, P_i x is a gather, O(d) per row: one np.take
+# of the block's [x | -x] along each P_i's signed index; the M2 proposal gathers
+# whole rows of a feature-major copy instead.  Below it, P_i x is a BLAS product
+# with the dense float matrix, O(d^2) per row.  Over the three samplers at
+# benchmark sizes (5k level-set and M1 points, 25k M2 points; 2 x 12
+# alternating reps, 2-vCPU Xeon, one BLAS thread) the gather took a median
+# 0.89-0.90x the BLAS time at d = 32, faster in 23 of 24 reps (level set and M1
+# even, M2 0.84x), and 1.13x at d = 16, faster in 3 of 24.  At d = 64 it took
+# 0.80x before the signs were folded in, 0.32x at d = 256 (BENCH_fkm_gather_blocks.json).
+_GATHER_MIN_DIM = 32
+
+
+def _gather_index(p: np.ndarray) -> np.ndarray | None:
+    """Columns of [x | -x] whose gather is P x, or None if p is no signed permutation.
+
+    Row r of P x is sign_r x_{perm_r}, so entry r of the index is perm_r for a
+    +1 and perm_r + d for a -1.
+    """
+    form = signed_permutation(p)
+    if form is None:
+        return None
+    perm, sign = form
+    return np.where(sign > 0, perm, perm + len(p))
 
 
 @dataclass(frozen=True)
@@ -83,33 +108,31 @@ class FKMFamily:
 
     system: CliffordSystem
     pair: MultiplicityPair
-    _perms: tuple[tuple[np.ndarray, np.ndarray], ...] = field(init=False, repr=False, compare=False)
+    _gathers: tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False)
     _float_mats: tuple[np.ndarray, ...] | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        """Read each P_i into ``(perm, float sign)``; keep float copies below the gather switch.
+        """Read each P_i into its signed gather index; keep float copies below the gather switch.
 
         Raises ValueError when some P_i has the wrong shape or is not a signed
         permutation, since the gather would silently compute garbage on it.
         """
         d = self.system.ambient_dim
-        perms = []
+        gathers = []
         for i, p in enumerate(self.system.matrices):
             if p.shape != (d, d):
                 raise ValueError(f"P_{i} has shape {p.shape}, expected {(d, d)}")
-            form = signed_permutation(p)
-            if form is None:
+            index = _gather_index(p)
+            if index is None:
                 raise ValueError(f"P_{i} is not a signed permutation")
-            perm, sign = form[0], form[1].astype(np.float64)
-            perm.setflags(write=False)
-            sign.setflags(write=False)
-            perms.append((perm, sign))
+            index.setflags(write=False)
+            gathers.append(index)
         mats = None
         if d < _GATHER_MIN_DIM:
             mats = tuple(p.astype(np.float64) for p in self.system.matrices)
             for p in mats:
                 p.setflags(write=False)
-        object.__setattr__(self, "_perms", tuple(perms))
+        object.__setattr__(self, "_gathers", tuple(gathers))
         object.__setattr__(self, "_float_mats", mats)
 
     @property
@@ -163,17 +186,28 @@ def _unit_points(family: FKMFamily, x) -> np.ndarray:
     return x / norms
 
 
-def _products(family: FKMFamily, x: np.ndarray, out: np.ndarray):
-    """Yield P_i x for i = 0..m, each written into ``out`` (rows of x are points)."""
+def _products(family: FKMFamily, x: np.ndarray, out: np.ndarray, signed: np.ndarray):
+    """Yield P_i x for i = 0..m, each written into ``out`` (rows of x are points).
+
+    On the gather path ``signed`` (from ``_signed_rows``) first receives
+    [x | -x]; each P_i x is then one gather of its columns, signs included.
+    """
     if family._float_mats is None:
-        for perm, sign in family._perms:
+        d = x.shape[1]
+        signed[:, :d] = x
+        np.negative(x, out=signed[:, d:])
+        for index in family._gathers:
             # mode="clip" lets np.take write straight into out ("raise" buffers)
-            np.take(x, perm, axis=1, out=out, mode="clip")
-            out *= sign
+            np.take(signed, index, axis=1, out=out, mode="clip")
             yield out
     else:
         for p in family._float_mats:
             yield np.matmul(x, p, out=out)
+
+
+def _signed_rows(family: FKMFamily, n: int) -> np.ndarray:
+    """The [x | -x] buffer of ``_products`` for n rows; the BLAS path needs none."""
+    return np.empty((n, 2 * family.ambient_dim if family._float_mats is None else 0))
 
 
 def _block_slices(n: int, d: int):
@@ -187,17 +221,18 @@ def _row_blocks(family: FKMFamily, x: np.ndarray):
 
     Yields ``(rows, block, products, scratch)``: the slice, the view x[rows],
     the generator of P_i block for i = 0..m, and a spare array of the block's
-    shape.  The products' buffer and the spare array are reused from block to
+    shape.  The products' buffers and the spare array are reused from block to
     block; a caller may overwrite each P_i block once it has been yielded.
     """
     n, d = x.shape
     blocks = _block_slices(n, d)
     buf = np.empty((blocks[0].stop if blocks else 0, d))
+    signed = _signed_rows(family, len(buf))
     scratch = np.empty_like(buf)
     for rows in blocks:
         block = x[rows]
         size = len(block)
-        yield rows, block, _products(family, block, buf[:size]), scratch[:size]
+        yield rows, block, _products(family, block, buf[:size], signed[:size]), scratch[:size]
 
 
 def _forms_and_gradient(family: FKMFamily, x: np.ndarray):
@@ -208,7 +243,7 @@ def _forms_and_gradient(family: FKMFamily, x: np.ndarray):
     """
     flat = x.reshape(-1, x.shape[-1])
     r = np.empty(len(flat))
-    q = np.empty((len(flat), len(family._perms)))
+    q = np.empty((len(flat), len(family._gathers)))
     grad = np.empty(flat.shape)
     for rows, xb, products, tmp in _row_blocks(family, flat):
         rb = np.sum(np.multiply(xb, xb, out=tmp), axis=-1)
@@ -234,7 +269,7 @@ def quadratic_forms(family: FKMFamily, x) -> np.ndarray:
     """<P_i x, x> for i = 0..m, stacked along the last axis."""
     x = _check_dim(family, x)
     flat = x.reshape(-1, x.shape[-1])
-    q = np.empty((len(flat), len(family._perms)))
+    q = np.empty((len(flat), len(family._gathers)))
     for rows, xb, products, tmp in _row_blocks(family, flat):
         for i, px in enumerate(products):
             q[rows, i] = np.sum(np.multiply(px, xb, out=tmp), axis=-1)
@@ -329,7 +364,8 @@ class PointCloud:
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        pts = np.asarray(self.points, dtype=np.float64)
+        # a read-only view: the caller's array keeps its own flags, and nothing is copied
+        pts = np.asarray(self.points, dtype=np.float64).view()
         pts.setflags(write=False)
         object.__setattr__(self, "points", pts)
 
@@ -401,7 +437,9 @@ def _sample(family: FKMFamily, count, seed: int, tol, level, target: float, prop
     those it keeps to the front of ``out`` and returns their count; the
     candidates that miss the tolerance are then compacted away.  Sampling
     fails after ``_MAX_ATTEMPTS`` batches, or once at least 2*count draws have
-    been made and more than half of them failed.
+    been made and more than half of them failed.  The cloud's meta records the
+    draws, the batches, the candidates ``dropped`` by the proposal and
+    ``rejected`` by the tolerance, and the worst kept |f - target|.
     """
     if not isinstance(count, (int, np.integer)) or count < 0:
         raise ValueError(f"count must be an int >= 0, got {count!r}")
@@ -410,21 +448,28 @@ def _sample(family: FKMFamily, count, seed: int, tol, level, target: float, prop
     name = level if isinstance(level, str) else f"level set f = {level}"
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     out = np.empty((count, family.ambient_dim))
-    filled = 0
-    drawn = 0
-    attempts = 0
+    filled = drawn = dropped = rejected = batches = 0
+    worst = 0.0
     while filled < count:
-        attempts += 1
-        if attempts > _MAX_ATTEMPTS:
+        batches += 1
+        if batches > _MAX_ATTEMPTS:
             raise SamplingError(f"sampling {name} filled only {filled} of {count} points")
         cand = out[filled:]
         made = propose(rng, cand)
         drawn += len(cand)
+        dropped += len(cand) - made
         resid = np.abs(eval_F(family, cand[:made]) - target)
-        filled += _compact(cand[:made], resid <= tol)
+        ok = resid <= tol
+        worst = max(worst, float(np.max(resid, where=ok, initial=0.0)))
+        kept = _compact(cand[:made], ok)
+        rejected += made - kept
+        filled += kept
         if drawn >= 2 * count and filled < drawn // 2:
             raise SamplingError(f"sampling {name} failed for more than half of {drawn} draws")
-    return PointCloud(out, level, seed, tol, _family_meta(family))
+    counters = {"draws": drawn, "batches": batches, "dropped": dropped, "rejected": rejected,
+                "max_residual": worst}
+    _log.debug("sampled %d points of %s, seed %d: %s", count, name, seed, counters)
+    return PointCloud(out, level, seed, tol, {**_family_meta(family), **counters})
 
 
 def _transported_draws(family: FKMFamily, rng, out: np.ndarray, theta: float) -> int:
@@ -436,16 +481,13 @@ def _transported_draws(family: FKMFamily, rng, out: np.ndarray, theta: float) ->
     focal value, where the normal is undefined, are dropped.
     """
     rng.standard_normal(out=out)
-    for _, x, _, tmp in _row_blocks(family, out):
-        x /= _row_norms(x, tmp)[:, None]
-    r, q, grad = _forms_and_gradient(family, out)
     keep = np.empty(len(out), dtype=bool)
     for rows, x, _, tmp in _row_blocks(family, out):
-        qb = q[rows]
-        f = r[rows] ** 2 - 2.0 * np.sum(qb * qb, axis=-1)
+        x /= _row_norms(x, tmp)[:, None]
+        r, q, xi = _forms_and_gradient(family, x)
+        f = r**2 - 2.0 * np.sum(q * q, axis=-1)
         keep[rows] = ok = np.abs(f) < 1.0 - 1e-8
         # the spherical gradient, then the unit normal; dropped rows divide by 1
-        xi = grad[rows]
         xi -= np.multiply(4.0 * f[:, None], x, out=tmp)
         xi /= np.where(ok, _row_norms(xi, tmp), 1.0)[:, None]
         move = np.arccos(np.where(ok, f, 1.0)) / 4.0 - theta
@@ -509,25 +551,62 @@ def sample_focal_M1(
     )
 
 
+def _combined_blocks(family: FKMFamily, y: np.ndarray, c: np.ndarray):
+    """Add sum_i c_i P_i y to the rows of y in place, one row block at a time.
+
+    Per block, each row of c is first normalized in place.  Yields
+    ``(rows, block, scratch)`` once the block holds y + sum_i c_i P_i y;
+    ``scratch`` is a spare array of the block's shape.  Every entry takes the
+    products c_i (P_i y) in the order i = 0..m onto a zero sum, which is then
+    added to y.  On the gather path the sum is built feature-major: the block's
+    [y | -y] is transposed once into a (2d, rows) buffer, so that each P_i y
+    is a gather of whole contiguous rows, scaled and added along them.
+    """
+    if family._float_mats is not None:
+        for rows, yb, products, acc in _row_blocks(family, y):
+            cb = c[rows]
+            cb /= np.linalg.norm(cb, axis=-1, keepdims=True)
+            acc[...] = 0.0
+            for i, p in enumerate(products):
+                p *= cb[:, i : i + 1]
+                acc += p
+            yb += acc
+            yield rows, yb, acc
+        return
+    d, k = y.shape[1], c.shape[1]
+    blocks = _block_slices(len(y), d)
+    size = blocks[0].stop if blocks else 0
+    signed, term, acc, coef = (np.empty(w * size) for w in (2 * d, d, d, k))
+    for rows in blocks:
+        yb, cb = y[rows], c[rows]
+        n = len(yb)
+        cb /= np.linalg.norm(cb, axis=-1, keepdims=True)
+        st = signed[: 2 * d * n].reshape(2 * d, n)
+        st[:d] = yb.T
+        np.negative(st[:d], out=st[d:])
+        tt, at, ct = term[: d * n].reshape(d, n), acc[: d * n].reshape(d, n), coef[: k * n].reshape(k, n)
+        at[...] = 0.0
+        ct[...] = cb.T
+        for index, ci in zip(family._gathers, ct):
+            np.take(st, index, axis=0, out=tt, mode="clip")
+            tt *= ci
+            at += tt
+        yb += at.T
+        yield rows, yb, acc[: d * n].reshape(n, d)
+
+
 def _eigenspace_draws(family: FKMFamily, rng, out: np.ndarray) -> int:
     """Unit points of M2 written to the front of ``out``; returns how many.
 
     Per row, a unit c is drawn in R^{m+1} and y standard normal, straight into
-    ``out``; y + sum_i c_i P_i y, normalized in place, is the candidate.  Rows
-    whose norm is <= 1e-6 are dropped.
+    ``out``; y + sum_i c_i P_i y (see ``_combined_blocks``), normalized in
+    place, is the candidate.  Rows whose norm is <= 1e-6 are dropped.
     """
-    c = rng.standard_normal((len(out), len(family._perms)))
+    c = rng.standard_normal((len(out), len(family._gathers)))
     rng.standard_normal(out=out)
     keep = np.empty(len(out), dtype=bool)
-    for rows, y, products, acc in _row_blocks(family, out):
-        cb = c[rows]
-        cb /= np.linalg.norm(cb, axis=-1, keepdims=True)
-        acc[...] = 0.0
-        for i, p in enumerate(products):
-            p *= cb[:, i : i + 1]
-            acc += p
-        y += acc
-        norms = _row_norms(y, acc)
+    for rows, y, tmp in _combined_blocks(family, out, c):
+        norms = _row_norms(y, tmp)
         keep[rows] = ok = norms > 1e-6
         y /= np.where(ok, norms, 1.0)[:, None]
     return _compact(out, keep)
@@ -584,7 +663,9 @@ def shape_operator_spectrum(family: FKMFamily, x) -> ShapeSpectrum:
     basis = _tangent_basis(x, g / g_norm)
     bpx = np.empty((len(q), len(basis)))
     weighted = np.zeros_like(basis)
-    for i, bp in enumerate(_products(family, basis, np.empty_like(basis))):
+    for i, bp in enumerate(
+        _products(family, basis, np.empty_like(basis), _signed_rows(family, len(basis)))
+    ):
         bpx[i] = bp @ x
         weighted += q[i] * bp
     a = 16.0 * bpx.T @ bpx + 8.0 * weighted @ basis.T - 4.0 * (r - f) * np.eye(len(basis))

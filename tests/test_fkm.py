@@ -1,4 +1,5 @@
 import json
+import logging
 import math
 import tracemalloc
 
@@ -268,8 +269,8 @@ def _reference_forms(family, x):
     return r, q, grad
 
 
-# d = 6, 16 take the dense product; d = 64, 128 the gather
-BLOCK_PAIRS = [(1, 1), (4, 3), (9, 22), (12, 51)]
+# d = 6, 16 take the dense product; d = 32, 64, 128 the gather
+BLOCK_PAIRS = [(1, 1), (4, 3), (8, 7), (9, 22), (12, 51)]
 
 
 @pytest.fixture(scope="module")
@@ -463,6 +464,35 @@ def test_m2_sampler_memory_stays_near_the_cloud(block_families):
     assert peak < 1.5 * cloud.points.nbytes
 
 
+@pytest.mark.parametrize("which", ["level", "M1"])
+def test_transport_sampler_memory_stays_near_the_cloud(block_families, which):
+    # each row block gets its own forms and gradient, so no batch-sized gradient is held
+    fam = block_families[(9, 22)]
+    sample = {"level": lambda n: fkm.sample_level_set(fam, 0.3, n, seed=46),
+              "M1": lambda n: fkm.sample_focal_M1(fam, n, seed=46)}[which]
+    sample(10)
+    tracemalloc.start()
+    try:
+        cloud = sample(25_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * cloud.points.nbytes
+
+
+def test_gather_index_reproduces_each_matrix():
+    # the gather of [x | -x] along a P_i's index is x @ P_i, bit for bit
+    rng = np.random.default_rng(47)
+    for m in range(1, 18):
+        for k in (1, 2):
+            system = build_system(m, k)
+            x = rng.standard_normal((3, system.ambient_dim))
+            signed = np.concatenate([x, -x], axis=1)
+            for p in system.matrices:
+                index = fkm._gather_index(p)
+                assert np.array_equal(np.take(signed, index, axis=1), x @ p.astype(np.float64)), (m, k)
+
+
 def test_family_rejects_matrices_that_are_no_signed_permutation():
     system = build_system(4, 1)
     pair = pair_g4(4, 3)
@@ -547,6 +577,61 @@ def test_sampler_attempt_cap(fam11, monkeypatch, which):
     monkeypatch.setattr(fkm, "eval_F", lambda family, x: np.full(len(x), opposite))
     with pytest.raises(SamplingError, match=name):
         SAMPLERS[which](fam11, 10, 1e-10)
+
+
+def test_sampler_counters_repeat_per_seed(fam43, caplog):
+    for sample in (lambda: fkm.sample_level_set(fam43, 0.2, 300, seed=48),
+                   lambda: fkm.sample_focal_M1(fam43, 300, seed=48),
+                   lambda: fkm.sample_focal_M2(fam43, 300, seed=48)):
+        with caplog.at_level(logging.DEBUG, logger="isospectra"):
+            first = sample()
+        second = sample()
+        counters = {key: first.meta[key] for key in ("draws", "batches", "dropped", "rejected", "max_residual")}
+        assert counters == {key: second.meta[key] for key in counters}
+        assert counters["draws"] == first.count + counters["dropped"] + counters["rejected"]
+        assert 0.0 <= counters["max_residual"] <= 1e-10
+        assert f"'draws': {counters['draws']}" in caplog.records[-1].getMessage()
+        caplog.clear()
+    assert any(isinstance(h, logging.NullHandler) for h in logging.getLogger("isospectra").handlers)
+
+
+@pytest.mark.parametrize("which", ["level", "M1", "M2"])
+def test_sampler_counters_record_drops_and_rejections(block_families, which, monkeypatch):
+    # the draws and forced misses of test_compaction_of_dropped_and_rejected_rows
+    fam = block_families[(4, 3)]
+    focal = 3.0 * fkm.sample_focal_M1(fam, 1, seed=42).points[0]
+    real = fkm.eval_F
+    checked = []
+
+    def misses_every_7th_row_once(family, x):
+        f = real(family, x)
+        if not checked:
+            f[::7] += 1.0
+        checked.append(len(x))
+        return f
+
+    monkeypatch.setattr(fkm, "eval_F", misses_every_7th_row_once)
+    if which == "M2":
+        target, zero = -1.0, np.zeros(fam.ambient_dim)
+        propose = lambda rng, out: fkm._eigenspace_draws(fam, _FifthRowsReplaced(rng, zero), out)
+    else:
+        target = 1.0 if which == "M1" else 0.2
+        theta = fkm.level_angle(target)
+        propose = lambda rng, out: fkm._transported_draws(fam, _FifthRowsReplaced(rng, focal), out, theta)
+    count = _several_blocks(fam)
+    cloud = fkm._sample(fam, count, 43, 1e-10, which, target, propose)
+    expected = {"draws": 0, "batches": 0, "dropped": 0, "rejected": 0}
+    filled = 0
+    while filled < count:
+        want = count - filled
+        made = want - want // 5  # rows 4, 9, 14, ... of each draw are dropped
+        missed = (made + 6) // 7 if not expected["batches"] else 0  # rows 0, 7, 14, ... of the first check
+        assert checked[expected["batches"]] == made
+        expected = {"draws": expected["draws"] + want, "batches": expected["batches"] + 1,
+                    "dropped": expected["dropped"] + want - made, "rejected": expected["rejected"] + missed}
+        filled += made - missed
+    assert {key: cloud.meta[key] for key in expected} == expected
+    assert cloud.meta["max_residual"] == np.abs(real(fam, cloud.points) - target).max()
 
 
 def test_sample_determinism(fam11):
@@ -842,4 +927,13 @@ def test_point_cloud_save(tmp_path, fam11):
     assert sidecar["count"] == 20 and sidecar["seed"] == 22
     assert sidecar["level"] == 0.1
     assert sidecar["family"]["m1"] == 1
-    assert sidecar["schema_version"] == 1
+    assert sidecar["schema_version"] == fkm.SCHEMA_VERSION == 2
+    assert sidecar["draws"] == cloud.meta["draws"] >= 20
+    assert {"batches", "dropped", "rejected", "max_residual"} <= sidecar.keys()
+
+
+def test_point_cloud_leaves_the_callers_array_writeable():
+    a = np.zeros((3, 2))
+    cloud = fkm.PointCloud(a, 0.0, 1, 1e-10)
+    assert a.flags.writeable and not cloud.points.flags.writeable
+    assert np.shares_memory(a, cloud.points)  # a view, not a copy

@@ -183,6 +183,8 @@ class CliffordSystem:
             for r, c, v in trips:
                 if not (isinstance(r, int) and isinstance(c, int) and 0 <= r < n and 0 <= c < n):
                     raise ValueError(f"triplet index ({r}, {c}) is not an integer in [0, {n})")
+                if isinstance(v, bool) or not isinstance(v, int):
+                    raise ValueError(f"triplet value {v!r} at ({r}, {c}) is not an integer")
                 p[r, c] = v
             mats.append(p)
         return CliffordSystem(data["m"], data["l"], _freeze(mats))

@@ -18,10 +18,9 @@ once; F, the spherical gradient, the normal and the samplers' normal-geodesic
 transport derive from that one pass.  The pass walks the rows in cache-sized
 blocks.  Every P_i is a signed permutation, so row r of P_i x is
 sign_r x_{perm_r}: the family keeps one index per P_i into [x | -x], built once
-per block, and P_i x is a single gather with the signs included.  Below ambient
-dimension 32 a product with the dense float matrix is faster and is used
-instead.  Either way each entry of P_i x is a single entry of x times +-1, so
-both give the same bits.
+per block, and P_i x is a single gather with the signs included, O(d) per row
+at every ambient dimension.  Each entry of P_i x is one entry of x times +-1,
+so the gather gives the same bits as a product with the dense matrix.
 
 Shape operators are exact: they come from the closed-form Hessian
 Hess F = 4 r I + 8 x x^T - 8 sum_i (2 P_i x (P_i x)^T + q_i P_i), restricted
@@ -33,8 +32,8 @@ Each batch streams into the cloud's own array: a proposal draws straight into
 the unfilled tail, turns the draws into candidates in place one row block at a
 time, and the rows it drops or that miss the level check are compacted away
 in place.  The M2 proposal y + sum_i c_i P_i y accumulates each block
-feature-major on the gather path, so that every P_i y is a gather of whole
-contiguous rows; each entry still adds the same products in the same order.
+feature-major, so that every P_i y is a gather of whole contiguous rows; each
+entry still adds the same products in the same order.
 Besides the cloud, a call holds the level check's per-row forms q, for M2
 the coefficients c, and a few block-sized buffers; the level-set and M1
 transport forms the gradient block by block.  Each cloud's meta records its draws,
@@ -77,16 +76,6 @@ _MAX_ATTEMPTS = 50
 # cache whatever the batch size.  Blocks of 2^14-2^15 values sampled fastest;
 # one block for the whole batch was 4-36% slower at d = 16-256.
 _BLOCK_ELEMENTS = 2**15
-# From this ambient dimension on, P_i x is a gather, O(d) per row: one np.take
-# of the block's [x | -x] along each P_i's signed index; the M2 proposal gathers
-# whole rows of a feature-major copy instead.  Below it, P_i x is a BLAS product
-# with the dense float matrix, O(d^2) per row.  Over the three samplers at
-# benchmark sizes (5k level-set and M1 points, 25k M2 points; 2 x 12
-# alternating reps, 2-vCPU Xeon, one BLAS thread) the gather took a median
-# 0.89-0.90x the BLAS time at d = 32, faster in 23 of 24 reps (level set and M1
-# even, M2 0.84x), and 1.13x at d = 16, faster in 3 of 24.  At d = 64 it took
-# 0.80x before the signs were folded in, 0.32x at d = 256 (BENCH_fkm_gather_blocks.json).
-_GATHER_MIN_DIM = 32
 
 
 def _gather_index(p: np.ndarray) -> np.ndarray | None:
@@ -109,14 +98,20 @@ class FKMFamily:
     system: CliffordSystem
     pair: MultiplicityPair
     _gathers: tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False)
-    _float_mats: tuple[np.ndarray, ...] | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        """Read each P_i into its signed gather index; keep float copies below the gather switch.
+        """Read each P_i into its signed gather index.
 
-        Raises ValueError when some P_i has the wrong shape or is not a signed
-        permutation, since the gather would silently compute garbage on it.
+        Raises ValueError when the pair is not (m, l-m-1) of the system, or
+        when some P_i has the wrong shape or is not a signed permutation, since
+        the gather would silently compute garbage on it.
         """
+        m, l = self.system.m, self.system.l
+        if (self.pair.g, self.pair.m1, self.pair.m2) != (4, m, l - m - 1):
+            raise ValueError(
+                f"pair (g, m1, m2) = ({self.pair.g}, {self.pair.m1}, {self.pair.m2}) does not "
+                f"match the system: m = {m}, l = {l} give (4, {m}, {l - m - 1})"
+            )
         d = self.system.ambient_dim
         gathers = []
         for i, p in enumerate(self.system.matrices):
@@ -127,13 +122,7 @@ class FKMFamily:
                 raise ValueError(f"P_{i} is not a signed permutation")
             index.setflags(write=False)
             gathers.append(index)
-        mats = None
-        if d < _GATHER_MIN_DIM:
-            mats = tuple(p.astype(np.float64) for p in self.system.matrices)
-            for p in mats:
-                p.setflags(write=False)
         object.__setattr__(self, "_gathers", tuple(gathers))
-        object.__setattr__(self, "_float_mats", mats)
 
     @property
     def ambient_dim(self) -> int:
@@ -189,31 +178,27 @@ def _unit_points(family: FKMFamily, x) -> np.ndarray:
 def _products(family: FKMFamily, x: np.ndarray, out: np.ndarray, signed: np.ndarray):
     """Yield P_i x for i = 0..m, each written into ``out`` (rows of x are points).
 
-    On the gather path ``signed`` (from ``_signed_rows``) first receives
-    [x | -x]; each P_i x is then one gather of its columns, signs included.
+    ``signed``, of shape (rows, 2d), first receives [x | -x]; each P_i x is
+    then one gather of its columns, signs included.
     """
-    if family._float_mats is None:
-        d = x.shape[1]
-        signed[:, :d] = x
-        np.negative(x, out=signed[:, d:])
-        for index in family._gathers:
-            # mode="clip" lets np.take write straight into out ("raise" buffers)
-            np.take(signed, index, axis=1, out=out, mode="clip")
-            yield out
-    else:
-        for p in family._float_mats:
-            yield np.matmul(x, p, out=out)
-
-
-def _signed_rows(family: FKMFamily, n: int) -> np.ndarray:
-    """The [x | -x] buffer of ``_products`` for n rows; the BLAS path needs none."""
-    return np.empty((n, 2 * family.ambient_dim if family._float_mats is None else 0))
+    d = x.shape[1]
+    signed[:, :d] = x
+    np.negative(x, out=signed[:, d:])
+    for index in family._gathers:
+        # mode="clip" lets np.take write straight into out ("raise" buffers)
+        np.take(signed, index, axis=1, out=out, mode="clip")
+        yield out
 
 
 def _block_slices(n: int, d: int):
     """Slices over n rows of width d, about ``_BLOCK_ELEMENTS`` values each."""
     step = max(1, _BLOCK_ELEMENTS // d)
     return [slice(start, min(start + step, n)) for start in range(0, n, step)]
+
+
+def _block_buffer(blocks, width: int) -> np.ndarray:
+    """An uninitialized array with the rows of the first (largest) of ``blocks`` and ``width`` columns."""
+    return np.empty((blocks[0].stop if blocks else 0, width))
 
 
 def _row_blocks(family: FKMFamily, x: np.ndarray):
@@ -223,12 +208,11 @@ def _row_blocks(family: FKMFamily, x: np.ndarray):
     the generator of P_i block for i = 0..m, and a spare array of the block's
     shape.  The products' buffers and the spare array are reused from block to
     block; a caller may overwrite each P_i block once it has been yielded.
+    Callers that need no products walk ``_block_slices`` themselves.
     """
     n, d = x.shape
     blocks = _block_slices(n, d)
-    buf = np.empty((blocks[0].stop if blocks else 0, d))
-    signed = _signed_rows(family, len(buf))
-    scratch = np.empty_like(buf)
+    buf, signed, scratch = (_block_buffer(blocks, w) for w in (d, 2 * d, d))
     for rows in blocks:
         block = x[rows]
         size = len(block)
@@ -283,8 +267,11 @@ def eval_F(family: FKMFamily, x) -> np.ndarray | float:
     flat = x.reshape(-1, x.shape[-1])
     flat_q = q.reshape(-1, q.shape[-1])
     out = np.empty(len(flat))
-    for rows, xb, _, tmp in _row_blocks(family, flat):
-        qb = flat_q[rows]
+    blocks = _block_slices(*flat.shape)
+    scratch = _block_buffer(blocks, flat.shape[1])
+    for rows in blocks:
+        xb, qb = flat[rows], flat_q[rows]
+        tmp = scratch[: len(xb)]
         out[rows] = np.sum(np.multiply(xb, xb, out=tmp), axis=-1) ** 2 - 2.0 * np.sum(qb * qb, axis=-1)
     out = out.reshape(x.shape[:-1])
     return float(out) if out.ndim == 0 else out
@@ -441,8 +428,9 @@ def _sample(family: FKMFamily, count, seed: int, tol, level, target: float, prop
     draws, the batches, the candidates ``dropped`` by the proposal and
     ``rejected`` by the tolerance, and the worst kept |f - target|.
     """
-    if not isinstance(count, (int, np.integer)) or count < 0:
-        raise ValueError(f"count must be an int >= 0, got {count!r}")
+    for arg, value in (("count", count), ("seed", seed)):
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 0:
+            raise ValueError(f"{arg} must be an int >= 0, got {value!r}")
     if not tol > 0:
         raise ValueError(f"tol must be > 0, got {tol!r}")
     name = level if isinstance(level, str) else f"level set f = {level}"
@@ -469,7 +457,7 @@ def _sample(family: FKMFamily, count, seed: int, tol, level, target: float, prop
     counters = {"draws": drawn, "batches": batches, "dropped": dropped, "rejected": rejected,
                 "max_residual": worst}
     _log.debug("sampled %d points of %s, seed %d: %s", count, name, seed, counters)
-    return PointCloud(out, level, seed, tol, {**_family_meta(family), **counters})
+    return PointCloud(out, level, int(seed), tol, {**_family_meta(family), **counters})
 
 
 def _transported_draws(family: FKMFamily, rng, out: np.ndarray, theta: float) -> int:
@@ -482,7 +470,11 @@ def _transported_draws(family: FKMFamily, rng, out: np.ndarray, theta: float) ->
     """
     rng.standard_normal(out=out)
     keep = np.empty(len(out), dtype=bool)
-    for rows, x, _, tmp in _row_blocks(family, out):
+    blocks = _block_slices(*out.shape)
+    scratch = _block_buffer(blocks, out.shape[1])
+    for rows in blocks:
+        x = out[rows]
+        tmp = scratch[: len(x)]
         x /= _row_norms(x, tmp)[:, None]
         r, q, xi = _forms_and_gradient(family, x)
         f = r**2 - 2.0 * np.sum(q * q, axis=-1)
@@ -558,21 +550,10 @@ def _combined_blocks(family: FKMFamily, y: np.ndarray, c: np.ndarray):
     ``(rows, block, scratch)`` once the block holds y + sum_i c_i P_i y;
     ``scratch`` is a spare array of the block's shape.  Every entry takes the
     products c_i (P_i y) in the order i = 0..m onto a zero sum, which is then
-    added to y.  On the gather path the sum is built feature-major: the block's
-    [y | -y] is transposed once into a (2d, rows) buffer, so that each P_i y
-    is a gather of whole contiguous rows, scaled and added along them.
+    added to y.  The sum is built feature-major: the block's [y | -y] is
+    transposed once into a (2d, rows) buffer, so that each P_i y is a gather
+    of whole contiguous rows, scaled and added along them.
     """
-    if family._float_mats is not None:
-        for rows, yb, products, acc in _row_blocks(family, y):
-            cb = c[rows]
-            cb /= np.linalg.norm(cb, axis=-1, keepdims=True)
-            acc[...] = 0.0
-            for i, p in enumerate(products):
-                p *= cb[:, i : i + 1]
-                acc += p
-            yb += acc
-            yield rows, yb, acc
-        return
     d, k = y.shape[1], c.shape[1]
     blocks = _block_slices(len(y), d)
     size = blocks[0].stop if blocks else 0
@@ -663,9 +644,8 @@ def shape_operator_spectrum(family: FKMFamily, x) -> ShapeSpectrum:
     basis = _tangent_basis(x, g / g_norm)
     bpx = np.empty((len(q), len(basis)))
     weighted = np.zeros_like(basis)
-    for i, bp in enumerate(
-        _products(family, basis, np.empty_like(basis), _signed_rows(family, len(basis)))
-    ):
+    signed = np.empty((len(basis), 2 * family.ambient_dim))
+    for i, bp in enumerate(_products(family, basis, np.empty_like(basis), signed)):
         bpx[i] = bp @ x
         weighted += q[i] * bp
     a = 16.0 * bpx.T @ bpx + 8.0 * weighted @ basis.T - 4.0 * (r - f) * np.eye(len(basis))

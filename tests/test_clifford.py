@@ -153,6 +153,12 @@ def test_from_json_rejects_bad_input():
         trips = [data["matrices"][0] + [bad], *data["matrices"][1:]]
         with pytest.raises(ValueError, match="not an integer in"):
             CliffordSystem.from_json(json.dumps({**data, "matrices": trips}))
+    # a non-integer value would be truncated or parsed, and the system could then verify
+    first, *rest = data["matrices"][0]
+    for value in (1.5, "1", True, None):
+        trips = [[[*first[:2], value], *rest], *data["matrices"][1:]]
+        with pytest.raises(ValueError, match="triplet value"):
+            CliffordSystem.from_json(json.dumps({**data, "matrices": trips}))
 
 
 def _reference_verify(system: CliffordSystem) -> VerificationReport:

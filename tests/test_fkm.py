@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from isospectra import fkm
-from isospectra.catalog import pair_g4
+from isospectra.catalog import MultiplicityPair, pair_g4
 from isospectra.clifford import CliffordSystem, build_system
 from isospectra.errors import InvalidPairError, NearFocalError, SamplingError
 from isospectra.fkm import FKMFamily
@@ -269,7 +269,7 @@ def _reference_forms(family, x):
     return r, q, grad
 
 
-# d = 6, 16 take the dense product; d = 32, 64, 128 the gather
+# d = 6, 16, 32, 64, 128: one and several blocks per batch at each
 BLOCK_PAIRS = [(1, 1), (4, 3), (8, 7), (9, 22), (12, 51)]
 
 
@@ -286,7 +286,6 @@ def _several_blocks(family):
 @pytest.mark.parametrize("pair", BLOCK_PAIRS, ids=lambda p: f"{p[0]}-{p[1]}")
 def test_blocked_kernels_bit_identical(block_families, pair):
     fam = block_families[pair]
-    assert (fam._float_mats is None) == (fam.ambient_dim >= fkm._GATHER_MIN_DIM)
     rng = np.random.default_rng(26)
     rows = _several_blocks(fam)
     for x in (rng.standard_normal((rows, fam.ambient_dim)), rng.standard_normal(fam.ambient_dim),
@@ -305,19 +304,16 @@ def test_clouds_match_one_dense_block(block_families, pair, monkeypatch):
     fam = block_families[pair]
     count = _several_blocks(fam)
 
-    def clouds(family):
+    def clouds():
         return [
-            fkm.sample_level_set(family, 0.2, count, seed=27).points,
-            fkm.sample_focal_M1(family, count, seed=28).points,
-            fkm.sample_focal_M2(family, count, seed=29).points,
+            fkm.sample_level_set(fam, 0.2, count, seed=27).points,
+            fkm.sample_focal_M1(fam, count, seed=28).points,
+            fkm.sample_focal_M2(fam, count, seed=29).points,
         ]
 
-    blocked = clouds(fam)
+    blocked = clouds()
     monkeypatch.setattr(fkm, "_BLOCK_ELEMENTS", 2**62)
-    monkeypatch.setattr(fkm, "_GATHER_MIN_DIM", 2**62)
-    dense = FKMFamily.from_pair(*pair)
-    assert dense._float_mats is not None
-    assert all(np.array_equal(a, b) for a, b in zip(blocked, clouds(dense)))
+    assert all(np.array_equal(a, b) for a, b in zip(blocked, clouds()))
 
 
 # -- streamed proposals against the whole-batch ones ---------------------------------------
@@ -480,6 +476,23 @@ def test_transport_sampler_memory_stays_near_the_cloud(block_families, which):
     assert peak < 1.5 * cloud.points.nbytes
 
 
+def test_transport_allocates_no_unused_block_buffers(block_families):
+    # the transport's own loop needs one scratch block; the kernel it calls per
+    # block holds five (P_i x, [x | -x] twice as wide, scratch, gradient), and the
+    # previous block's forms and gradient are still alive: 7.7 blocks in all,
+    # 10.7 when the loop also allocated product and [x | -x] buffers it never used
+    fam = block_families[(9, 22)]
+    out = np.empty((5_000, fam.ambient_dim))
+    fkm._transported_draws(fam, np.random.default_rng(49), out[:10], 0.0)
+    tracemalloc.start()
+    try:
+        fkm._transported_draws(fam, np.random.default_rng(49), out, 0.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 9 * fkm._BLOCK_ELEMENTS * out.itemsize
+
+
 def test_gather_index_reproduces_each_matrix():
     # the gather of [x | -x] along a P_i's index is x @ P_i, bit for bit
     rng = np.random.default_rng(47)
@@ -493,8 +506,18 @@ def test_gather_index_reproduces_each_matrix():
                 assert np.array_equal(np.take(signed, index, axis=1), x @ p.astype(np.float64)), (m, k)
 
 
+def test_family_rejects_a_pair_that_is_not_the_systems():
+    # (m, l - m - 1) is (4, 3) for build_system(4, 2) and (4, -1) for build_system(4, 1)
+    for system, pair in ((build_system(4, 1), pair_g4(3, 4)), (build_system(4, 1), pair_g4(4, 3)),
+                         (build_system(4, 2), pair_g4(3, 4)), (build_system(4, 2), pair_g4(4, 11)),
+                         (build_system(4, 2), MultiplicityPair(2, 4, 3))):
+        with pytest.raises(ValueError, match="does not match the system"):
+            FKMFamily(system, pair)
+    assert FKMFamily(build_system(4, 2), pair_g4(4, 3)).pair == pair_g4(4, 3)
+
+
 def test_family_rejects_matrices_that_are_no_signed_permutation():
-    system = build_system(4, 1)
+    system = build_system(4, 2)
     pair = pair_g4(4, 3)
     data = json.loads(system.to_json())
     for corrupt in ("value", "duplicate"):
@@ -544,9 +567,9 @@ def test_sample_level_set_rejects_a_non_finite_level(fam11):
 
 
 SAMPLERS = {
-    "level": lambda fam, count, tol: fkm.sample_level_set(fam, 0.2, count, seed=0, tol=tol),
-    "M1": lambda fam, count, tol: fkm.sample_focal_M1(fam, count, seed=0, tol=tol),
-    "M2": lambda fam, count, tol: fkm.sample_focal_M2(fam, count, seed=0, tol=tol),
+    "level": lambda fam, count, tol, seed=0: fkm.sample_level_set(fam, 0.2, count, seed=seed, tol=tol),
+    "M1": lambda fam, count, tol, seed=0: fkm.sample_focal_M1(fam, count, seed=seed, tol=tol),
+    "M2": lambda fam, count, tol, seed=0: fkm.sample_focal_M2(fam, count, seed=seed, tol=tol),
 }
 
 
@@ -558,8 +581,20 @@ def test_sampler_rejects_negative_count(fam11, which):
 
 @pytest.mark.parametrize("which", SAMPLERS)
 def test_sampler_rejects_non_integer_count(fam11, which):
-    with pytest.raises(ValueError, match="count"):
-        SAMPLERS[which](fam11, 2.5, 1e-10)
+    for count in (2.5, True, "3"):
+        with pytest.raises(ValueError, match="count"):
+            SAMPLERS[which](fam11, count, 1e-10)
+
+
+@pytest.mark.parametrize("which", SAMPLERS)
+def test_sampler_rejects_a_seed_that_is_no_nonnegative_int(fam11, which):
+    # None would draw OS entropy and record seed null: the cloud could not be reproduced
+    for seed in (None, 1.5, True, -1, "1"):
+        with pytest.raises(ValueError, match="seed"):
+            SAMPLERS[which](fam11, 10, 1e-10, seed)
+    # a numpy seed is recorded as a plain int, so the sidecar stays JSON
+    cloud = SAMPLERS[which](fam11, 10, 1e-10, np.int64(3))
+    assert type(cloud.seed) is int and json.loads(json.dumps(cloud.sidecar()))["seed"] == 3
 
 
 @pytest.mark.parametrize("which", SAMPLERS)
@@ -781,7 +816,7 @@ def test_normal_frame(fam11):
 
 @pytest.fixture(scope="module")
 def fam12_51():
-    return FKMFamily.from_pair(12, 51)  # d = 128: P_i x by the gather, not BLAS
+    return FKMFamily.from_pair(12, 51)  # d = 128, where fam43 has d = 16
 
 
 def _assert_exact_spectrum(fam, x):

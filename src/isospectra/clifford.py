@@ -176,15 +176,20 @@ class CliffordSystem:
         data = json.loads(text)
         if data.get("schema_version") != SCHEMA_VERSION:
             raise ValueError(f"Clifford JSON schema_version must be {SCHEMA_VERSION}")
+        for key in ("m", "l"):
+            value = data.get(key)
+            if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+                raise ValueError(f"Clifford JSON {key} must be an int >= 1, got {value!r}")
         n = 2 * data["l"]
+        int64 = np.iinfo(np.int64)
         mats = []
         for trips in data["matrices"]:
             p = np.zeros((n, n), dtype=np.int64)
             for r, c, v in trips:
                 if not (isinstance(r, int) and isinstance(c, int) and 0 <= r < n and 0 <= c < n):
                     raise ValueError(f"triplet index ({r}, {c}) is not an integer in [0, {n})")
-                if isinstance(v, bool) or not isinstance(v, int):
-                    raise ValueError(f"triplet value {v!r} at ({r}, {c}) is not an integer")
+                if isinstance(v, bool) or not isinstance(v, int) or not int64.min <= v <= int64.max:
+                    raise ValueError(f"triplet value {v!r} at ({r}, {c}) is not an int64 integer")
                 p[r, c] = v
             mats.append(p)
         return CliffordSystem(data["m"], data["l"], _freeze(mats))

@@ -15,12 +15,19 @@ The Clifford relations P_i P_j + P_j P_i = 2 delta_ij I give
 <P_i x, P_j x> = delta_ij |x|^2, so one pass that forms each P_i x in turn
 yields r = |x|^2, q_i = <P_i x, x> and grad F = 4 r x - 8 sum_i q_i P_i x at
 once; F, the spherical gradient, the normal and the samplers' normal-geodesic
-transport derive from that one pass.  The pass walks the rows in cache-sized
-blocks.  Every P_i is a signed permutation, so row r of P_i x is
-sign_r x_{perm_r}: the family keeps one index per P_i into [x | -x], built once
-per block, and P_i x is a single gather with the signs included, O(d) per row
-at every ambient dimension.  Each entry of P_i x is one entry of x times +-1,
-so the gather gives the same bits as a product with the dense matrix.
+transport derive from that one pass.
+
+Every kernel walks the rows in cache-sized blocks, feature-major: a block's
+[x | -x] is transposed once into a (2d, rows) array.  Every P_i is a signed
+permutation, so coordinate r of P_i x is sign_r x_{perm_r}: the family keeps
+one index per P_i into the rows of that array, and P_i x is one gather of
+whole contiguous rows, signs included, O(d) per point at every ambient
+dimension.  Each entry of P_i x is one entry of x times +-1, so the gather
+gives the same bits as a product with the dense matrix.  The sums over a
+point's coordinates (|x|^2, each q_i, the norms) run down the block's columns
+in numpy's pairwise row-sum order (``_row_sums``), and every elementwise step
+is the same operation on the same operands, so each output equals, bit for
+bit, what row-major numpy code gives.
 
 Shape operators are exact: they come from the closed-form Hessian
 Hess F = 4 r I + 8 x x^T - 8 sum_i (2 P_i x (P_i x)^T + q_i P_i), restricted
@@ -31,12 +38,10 @@ vectorized pass, so results do not depend on scheduling or thread counts.
 Each batch streams into the cloud's own array: a proposal draws straight into
 the unfilled tail, turns the draws into candidates in place one row block at a
 time, and the rows it drops or that miss the level check are compacted away
-in place.  The M2 proposal y + sum_i c_i P_i y accumulates each block
-feature-major, so that every P_i y is a gather of whole contiguous rows; each
-entry still adds the same products in the same order.
-Besides the cloud, a call holds the level check's per-row forms q, for M2
-the coefficients c, and a few block-sized buffers; the level-set and M1
-transport forms the gradient block by block.  Each cloud's meta records its draws,
+in place.  Besides the cloud, a call holds the level check's per-row forms
+q, for M2 the coefficients c, and a few block-sized buffers allocated once per
+call; the level-set and M1 transport forms the gradient in those buffers,
+block by block.  Each cloud's meta records its draws,
 batches, dropped and rejected candidates and its worst residual, and the
 ``isospectra`` logger reports them at DEBUG.
 Level-set and M1 clouds are push-forwards of the uniform sphere measure along
@@ -175,19 +180,38 @@ def _unit_points(family: FKMFamily, x) -> np.ndarray:
     return x / norms
 
 
-def _products(family: FKMFamily, x: np.ndarray, out: np.ndarray, signed: np.ndarray):
-    """Yield P_i x for i = 0..m, each written into ``out`` (rows of x are points).
+def _row_sums(a: np.ndarray) -> np.ndarray:
+    """Sums over the first axis of a C-contiguous (d, n) block, in numpy's row-sum order.
 
-    ``signed``, of shape (rows, 2d), first receives [x | -x]; each P_i x is
-    then one gather of its columns, signs included.
+    Entry j equals, bit for bit, ``np.sum`` of the row-major row a[:, j]:
+    numpy's pairwise sum.  Under 8 values it adds them in order; up to 128 it
+    keeps 8 strided accumulators, combines them as
+    ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)) and adds the rest in order; above
+    128 it splits at d/2 rounded down to a multiple of 8 and adds the sums of
+    the halves.  Each accumulator is one ``np.add.reduce`` over the outer axis,
+    which adds in order.  When d = 128 * 2^p every leaf has 128 values, so all
+    leaves are summed at once and the tree is added level by level.  Like
+    numpy's, every reduce starts from +0.0, so no sum is -0.0.
     """
-    d = x.shape[1]
-    signed[:, :d] = x
-    np.negative(x, out=signed[:, d:])
-    for index in family._gathers:
-        # mode="clip" lets np.take write straight into out ("raise" buffers)
-        np.take(signed, index, axis=1, out=out, mode="clip")
-        yield out
+    d, n = a.shape
+    if d < 8:
+        return np.add.reduce(a, axis=0)
+    leaves = d // 128
+    if d > 128 and (d % 128 or leaves & (leaves - 1)):
+        half = d // 2 - d // 2 % 8
+        return _row_sums(a[:half]) + _row_sums(a[half:])
+    leaves = max(leaves, 1)
+    size = d // leaves
+    strided = size - size % 8
+    acc = np.add.reduce(a.reshape(leaves, size, n)[:, :strided].reshape(leaves, strided // 8, 8 * n), axis=1)
+    # the accumulators of all leaves, in order, form one balanced tree
+    acc = acc.reshape(8 * leaves, n)
+    while len(acc) > 1:
+        acc = acc[0::2] + acc[1::2]
+    sums = acc[0]
+    for row in a[strided:size]:
+        sums += row
+    return sums
 
 
 def _block_slices(n: int, d: int):
@@ -196,48 +220,59 @@ def _block_slices(n: int, d: int):
     return [slice(start, min(start + step, n)) for start in range(0, n, step)]
 
 
-def _block_buffer(blocks, width: int) -> np.ndarray:
-    """An uninitialized array with the rows of the first (largest) of ``blocks`` and ``width`` columns."""
-    return np.empty((blocks[0].stop if blocks else 0, width))
+def _feature_blocks(x: np.ndarray, *widths: int):
+    """Walk the rows of 2-D x in blocks of about ``_BLOCK_ELEMENTS`` values, feature-major.
 
-
-def _row_blocks(family: FKMFamily, x: np.ndarray):
-    """Walk the rows of 2-D x in blocks of about ``_BLOCK_ELEMENTS`` values.
-
-    Yields ``(rows, block, products, scratch)``: the slice, the view x[rows],
-    the generator of P_i block for i = 0..m, and a spare array of the block's
-    shape.  The products' buffers and the spare array are reused from block to
-    block; a caller may overwrite each P_i block once it has been yielded.
-    Callers that need no products walk ``_block_slices`` themselves.
+    Yields ``(rows, signed, *buffers)``: the slice; the block's [x | -x]
+    transposed, a (2d, n) array whose first d rows are x[rows].T, so that
+    P_i x is a gather of whole rows of it; and one uninitialized (w, n) array
+    per width.  All are C-contiguous and allocated once per call.
     """
     n, d = x.shape
     blocks = _block_slices(n, d)
-    buf, signed, scratch = (_block_buffer(blocks, w) for w in (d, 2 * d, d))
+    size = blocks[0].stop if blocks else 0
+    widths = (2 * d, *widths)
+    flat = [np.empty(w * size) for w in widths]
     for rows in blocks:
-        block = x[rows]
-        size = len(block)
-        yield rows, block, _products(family, block, buf[:size], signed[:size]), scratch[:size]
+        count = rows.stop - rows.start
+        signed, *buffers = (buf[: w * count].reshape(w, count) for buf, w in zip(flat, widths))
+        signed[:d] = x[rows].T
+        np.negative(signed[:d], out=signed[d:])
+        yield rows, signed, *buffers
+
+
+def _block_forms(family: FKMFamily, signed: np.ndarray, q: np.ndarray, grad: np.ndarray,
+                 px: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """r = |x|^2, q_i = <P_i x, x> and grad F = 4 r x - 8 sum_i q_i P_i x of one feature-major block.
+
+    ``signed`` is the block's (2d, n) [x | -x] from ``_feature_blocks``; q
+    (m+1, n) and grad (d, n) receive the forms and the gradient, and px and
+    tmp are (d, n) scratch.  Returns r.  One gather per P_i, held one at a
+    time; grad accumulates over i = 0..m in that order.
+    """
+    x = signed[: len(grad)]
+    r = _row_sums(np.multiply(x, x, out=tmp))
+    np.multiply(4.0 * r, x, out=grad)
+    for index, qi in zip(family._gathers, q):
+        # mode="clip" lets np.take write straight into px ("raise" buffers)
+        np.take(signed, index, axis=0, out=px, mode="clip")
+        qi[...] = _row_sums(np.multiply(px, x, out=tmp))
+        px *= 8.0 * qi
+        grad -= px
+    return r
 
 
 def _forms_and_gradient(family: FKMFamily, x: np.ndarray):
-    """r = |x|^2, q_i = <P_i x, x> and grad F = 4 r x - 8 sum_i q_i P_i x.
-
-    One pass over the matrices per row block, holding one P_i x at a time;
-    grad accumulates over i = 0..m in that order.
-    """
+    """r = |x|^2, q_i = <P_i x, x> and grad F = 4 r x - 8 sum_i q_i P_i x, row by row."""
     flat = x.reshape(-1, x.shape[-1])
+    d, k = flat.shape[1], len(family._gathers)
     r = np.empty(len(flat))
-    q = np.empty((len(flat), len(family._gathers)))
+    q = np.empty((len(flat), k))
     grad = np.empty(flat.shape)
-    for rows, xb, products, tmp in _row_blocks(family, flat):
-        rb = np.sum(np.multiply(xb, xb, out=tmp), axis=-1)
-        r[rows] = rb
-        g = grad[rows]
-        np.multiply(4.0 * rb[:, None], xb, out=g)
-        for i, px in enumerate(products):
-            qi = np.sum(np.multiply(px, xb, out=tmp), axis=-1)
-            q[rows, i] = qi
-            g -= np.multiply(8.0 * qi[:, None], px, out=tmp)
+    for rows, signed, qb, gb, px, tmp in _feature_blocks(flat, k, d, d, d):
+        r[rows] = _block_forms(family, signed, qb, gb, px, tmp)
+        q[rows] = qb.T
+        grad[rows] = gb.T
     lead = x.shape[:-1]
     return r.reshape(lead), q.reshape(lead + q.shape[-1:]), grad.reshape(x.shape)
 
@@ -253,10 +288,12 @@ def quadratic_forms(family: FKMFamily, x) -> np.ndarray:
     """<P_i x, x> for i = 0..m, stacked along the last axis."""
     x = _check_dim(family, x)
     flat = x.reshape(-1, x.shape[-1])
+    d = flat.shape[1]
     q = np.empty((len(flat), len(family._gathers)))
-    for rows, xb, products, tmp in _row_blocks(family, flat):
-        for i, px in enumerate(products):
-            q[rows, i] = np.sum(np.multiply(px, xb, out=tmp), axis=-1)
+    for rows, signed, px in _feature_blocks(flat, d):
+        for i, index in enumerate(family._gathers):
+            np.take(signed, index, axis=0, out=px, mode="clip")
+            q[rows, i] = _row_sums(np.multiply(px, signed[:d], out=px))
     return q.reshape(x.shape[:-1] + q.shape[-1:])
 
 
@@ -266,13 +303,13 @@ def eval_F(family: FKMFamily, x) -> np.ndarray | float:
     q = quadratic_forms(family, x)
     flat = x.reshape(-1, x.shape[-1])
     flat_q = q.reshape(-1, q.shape[-1])
+    d, k = flat.shape[1], flat_q.shape[1]
     out = np.empty(len(flat))
-    blocks = _block_slices(*flat.shape)
-    scratch = _block_buffer(blocks, flat.shape[1])
-    for rows in blocks:
-        xb, qb = flat[rows], flat_q[rows]
-        tmp = scratch[: len(xb)]
-        out[rows] = np.sum(np.multiply(xb, xb, out=tmp), axis=-1) ** 2 - 2.0 * np.sum(qb * qb, axis=-1)
+    for rows, signed, qb in _feature_blocks(flat, k):
+        # the -x half is free scratch here
+        r = _row_sums(np.multiply(signed[:d], signed[:d], out=signed[d:]))
+        qb[...] = flat_q[rows].T
+        out[rows] = r**2 - 2.0 * _row_sums(np.multiply(qb, qb, out=qb))
     out = out.reshape(x.shape[:-1])
     return float(out) if out.ndim == 0 else out
 
@@ -399,8 +436,8 @@ def _family_meta(family: FKMFamily) -> dict:
 
 
 def _row_norms(x: np.ndarray, tmp: np.ndarray) -> np.ndarray:
-    """|x| of each row of the block x, through the scratch array tmp of x's shape."""
-    return np.sqrt(np.sum(np.multiply(x, x, out=tmp), axis=-1))
+    """|x| of each column of the feature-major block x, through the scratch array tmp of x's shape."""
+    return np.sqrt(_row_sums(np.multiply(x, x, out=tmp)))
 
 
 def _compact(x: np.ndarray, keep: np.ndarray) -> int:
@@ -464,28 +501,28 @@ def _transported_draws(family: FKMFamily, rng, out: np.ndarray, theta: float) ->
     """Uniform sphere points moved along their normal geodesic to level cos(4 theta).
 
     Draws ``len(out)`` standard normal rows into ``out`` and turns them, in
-    place and block by block, into the unit rows of their transported points;
-    returns how many it kept at the front of ``out``.  Draws within 1e-8 of a
-    focal value, where the normal is undefined, are dropped.
+    place and one feature-major block at a time, into the unit rows of their
+    transported points; returns how many it kept at the front of ``out``.
+    Draws within 1e-8 of a focal value, where the normal is undefined, are
+    dropped.  The block buffers, forms included, are allocated once per call.
     """
     rng.standard_normal(out=out)
+    d, k = out.shape[1], len(family._gathers)
     keep = np.empty(len(out), dtype=bool)
-    blocks = _block_slices(*out.shape)
-    scratch = _block_buffer(blocks, out.shape[1])
-    for rows in blocks:
-        x = out[rows]
-        tmp = scratch[: len(x)]
-        x /= _row_norms(x, tmp)[:, None]
-        r, q, xi = _forms_and_gradient(family, x)
-        f = r**2 - 2.0 * np.sum(q * q, axis=-1)
+    for rows, signed, q, xi, px, tmp in _feature_blocks(out, k, d, d, d):
+        x = signed[:d]
+        signed /= _row_norms(x, tmp)  # both halves: -x / |x| is -(x / |x|)
+        r = _block_forms(family, signed, q, xi, px, tmp)
+        f = r**2 - 2.0 * _row_sums(q * q)
         keep[rows] = ok = np.abs(f) < 1.0 - 1e-8
         # the spherical gradient, then the unit normal; dropped rows divide by 1
-        xi -= np.multiply(4.0 * f[:, None], x, out=tmp)
-        xi /= np.where(ok, _row_norms(xi, tmp), 1.0)[:, None]
+        xi -= np.multiply(4.0 * f, x, out=tmp)
+        xi /= np.where(ok, _row_norms(xi, tmp), 1.0)
         move = np.arccos(np.where(ok, f, 1.0)) / 4.0 - theta
-        x *= np.cos(move)[:, None]
-        x += np.multiply(np.sin(move)[:, None], xi, out=tmp)
-        x /= _row_norms(x, tmp)[:, None]
+        x *= np.cos(move)
+        x += np.multiply(np.sin(move), xi, out=tmp)
+        x /= _row_norms(x, tmp)
+        out[rows] = x.T
     return _compact(out, keep)
 
 
@@ -543,53 +580,33 @@ def sample_focal_M1(
     )
 
 
-def _combined_blocks(family: FKMFamily, y: np.ndarray, c: np.ndarray):
-    """Add sum_i c_i P_i y to the rows of y in place, one row block at a time.
-
-    Per block, each row of c is first normalized in place.  Yields
-    ``(rows, block, scratch)`` once the block holds y + sum_i c_i P_i y;
-    ``scratch`` is a spare array of the block's shape.  Every entry takes the
-    products c_i (P_i y) in the order i = 0..m onto a zero sum, which is then
-    added to y.  The sum is built feature-major: the block's [y | -y] is
-    transposed once into a (2d, rows) buffer, so that each P_i y is a gather
-    of whole contiguous rows, scaled and added along them.
-    """
-    d, k = y.shape[1], c.shape[1]
-    blocks = _block_slices(len(y), d)
-    size = blocks[0].stop if blocks else 0
-    signed, term, acc, coef = (np.empty(w * size) for w in (2 * d, d, d, k))
-    for rows in blocks:
-        yb, cb = y[rows], c[rows]
-        n = len(yb)
-        cb /= np.linalg.norm(cb, axis=-1, keepdims=True)
-        st = signed[: 2 * d * n].reshape(2 * d, n)
-        st[:d] = yb.T
-        np.negative(st[:d], out=st[d:])
-        tt, at, ct = term[: d * n].reshape(d, n), acc[: d * n].reshape(d, n), coef[: k * n].reshape(k, n)
-        at[...] = 0.0
-        ct[...] = cb.T
-        for index, ci in zip(family._gathers, ct):
-            np.take(st, index, axis=0, out=tt, mode="clip")
-            tt *= ci
-            at += tt
-        yb += at.T
-        yield rows, yb, acc[: d * n].reshape(n, d)
-
-
 def _eigenspace_draws(family: FKMFamily, rng, out: np.ndarray) -> int:
     """Unit points of M2 written to the front of ``out``; returns how many.
 
     Per row, a unit c is drawn in R^{m+1} and y standard normal, straight into
-    ``out``; y + sum_i c_i P_i y (see ``_combined_blocks``), normalized in
-    place, is the candidate.  Rows whose norm is <= 1e-6 are dropped.
+    ``out``; y + sum_i c_i P_i y, normalized, is the candidate.  Each
+    feature-major block takes the products c_i (P_i y) in the order i = 0..m
+    onto a zero sum, which is then added to y.  Rows whose norm is <= 1e-6
+    are dropped.
     """
     c = rng.standard_normal((len(out), len(family._gathers)))
     rng.standard_normal(out=out)
+    d, k = out.shape[1], c.shape[1]
     keep = np.empty(len(out), dtype=bool)
-    for rows, y, tmp in _combined_blocks(family, out, c):
-        norms = _row_norms(y, tmp)
+    for rows, signed, ct, term, acc in _feature_blocks(out, k, d, d):
+        ct[...] = c[rows].T
+        ct /= _row_norms(ct, term[:k])
+        acc[...] = 0.0
+        for index, ci in zip(family._gathers, ct):
+            np.take(signed, index, axis=0, out=term, mode="clip")
+            term *= ci
+            acc += term
+        y = signed[:d]
+        y += acc
+        norms = _row_norms(y, term)
         keep[rows] = ok = norms > 1e-6
-        y /= np.where(ok, norms, 1.0)[:, None]
+        y /= np.where(ok, norms, 1.0)
+        out[rows] = y.T
     return _compact(out, keep)
 
 
@@ -642,10 +659,13 @@ def shape_operator_spectrum(family: FKMFamily, x) -> ShapeSpectrum:
     if g_norm < _FOCAL_GRAD_CUTOFF or not abs(f) < 1.0:
         raise NearFocalError("point is (nearly) focal; no level hypersurface passes through it")
     basis = _tangent_basis(x, g / g_norm)
+    # [B | -B] transposed: (B P_i)^T = P_i B^T is a gather of its rows.  B P_i
+    # is then made row-major, since BLAS's summation order depends on the layout.
+    signed = np.concatenate((basis.T, -basis.T))
     bpx = np.empty((len(q), len(basis)))
     weighted = np.zeros_like(basis)
-    signed = np.empty((len(basis), 2 * family.ambient_dim))
-    for i, bp in enumerate(_products(family, basis, np.empty_like(basis), signed)):
+    for i, index in enumerate(family._gathers):
+        bp = np.ascontiguousarray(np.take(signed, index, axis=0).T)
         bpx[i] = bp @ x
         weighted += q[i] * bp
     a = 16.0 * bpx.T @ bpx + 8.0 * weighted @ basis.T - 4.0 * (r - f) * np.eye(len(basis))

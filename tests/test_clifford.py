@@ -155,10 +155,22 @@ def test_from_json_rejects_bad_input():
             CliffordSystem.from_json(json.dumps({**data, "matrices": trips}))
     # a non-integer value would be truncated or parsed, and the system could then verify
     first, *rest = data["matrices"][0]
-    for value in (1.5, "1", True, None):
+    for value in (1.5, "1", True, None, 2**63, -(2**63) - 1, 2**70):
         trips = [[[*first[:2], value], *rest], *data["matrices"][1:]]
         with pytest.raises(ValueError, match="triplet value"):
             CliffordSystem.from_json(json.dumps({**data, "matrices": trips}))
+    # m and l must be ints >= 1: a bool, float, string, null or missing key is refused
+    for key in ("m", "l"):
+        for value in (0, -1, 1.5, "2", True, None):
+            with pytest.raises(ValueError, match=f"{key} must be an int >= 1"):
+                CliffordSystem.from_json(json.dumps({**data, key: value}))
+        with pytest.raises(ValueError, match=f"{key} must be an int >= 1"):
+            CliffordSystem.from_json(json.dumps({k: v for k, v in data.items() if k != key}))
+    # the int64 extremes themselves are stored (and fail verification, not parsing)
+    for value in (2**63 - 1, -(2**63)):
+        trips = [[[*first[:2], value], *rest], *data["matrices"][1:]]
+        system = CliffordSystem.from_json(json.dumps({**data, "matrices": trips}))
+        assert system.matrices[0][first[0], first[1]] == value
 
 
 def _reference_verify(system: CliffordSystem) -> VerificationReport:

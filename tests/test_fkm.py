@@ -223,11 +223,12 @@ def test_one_pass_over_the_matrices_per_step(fam43, monkeypatch):
 
 def test_samplers_make_one_pass_per_batch(fam43, monkeypatch):
     passes, checks = [], []
-    kernel, check = fkm._forms_and_gradient, fkm.eval_F
+    # every gradient pass, whole-batch or per block, goes through _block_forms
+    kernel, check = fkm._block_forms, fkm.eval_F
 
-    def counting_kernel(family, x):
+    def counting_kernel(*args):
         passes.append(1)
-        return kernel(family, x)
+        return kernel(*args)
 
     def counting_check(family, x):
         checks.append(1)
@@ -236,7 +237,7 @@ def test_samplers_make_one_pass_per_batch(fam43, monkeypatch):
     def no_polish(*args, **kwargs):
         raise AssertionError("a sampler called _gauss_newton_focal")
 
-    monkeypatch.setattr(fkm, "_forms_and_gradient", counting_kernel)
+    monkeypatch.setattr(fkm, "_block_forms", counting_kernel)
     monkeypatch.setattr(fkm, "eval_F", counting_check)
     monkeypatch.setattr(fkm, "_gauss_newton_focal", no_polish)
     for sample, kernel_passes in (
@@ -271,6 +272,8 @@ def _reference_forms(family, x):
 
 # d = 6, 16, 32, 64, 128: one and several blocks per batch at each
 BLOCK_PAIRS = [(1, 1), (4, 3), (8, 7), (9, 22), (12, 51)]
+# d = 200 (whose pairwise sum splits unevenly), 256 and 512: the kernels alone
+WIDE_PAIRS = [(1, 98), (16, 111), (2, 253)]
 
 
 @pytest.fixture(scope="module")
@@ -283,9 +286,9 @@ def _several_blocks(family):
     return 3 * (fkm._BLOCK_ELEMENTS // family.ambient_dim) + 5
 
 
-@pytest.mark.parametrize("pair", BLOCK_PAIRS, ids=lambda p: f"{p[0]}-{p[1]}")
+@pytest.mark.parametrize("pair", BLOCK_PAIRS + WIDE_PAIRS, ids=lambda p: f"{p[0]}-{p[1]}")
 def test_blocked_kernels_bit_identical(block_families, pair):
-    fam = block_families[pair]
+    fam = block_families.get(pair) or FKMFamily.from_pair(*pair)
     rng = np.random.default_rng(26)
     rows = _several_blocks(fam)
     for x in (rng.standard_normal((rows, fam.ambient_dim)), rng.standard_normal(fam.ambient_dim),
@@ -297,6 +300,35 @@ def test_blocked_kernels_bit_identical(block_families, pair):
         assert np.array_equal(fkm.quadratic_forms(fam, x), q)
         assert np.array_equal(fkm.grad_F(fam, x), grad)
         assert np.array_equal(fkm.eval_F(fam, x), r**2 - 2.0 * np.sum(q * q, axis=-1))
+
+
+def _special_columns(d):
+    """Columns of d values: all -0.0, -0.0 and +0.0, one +inf, one -inf, +inf and -inf, one NaN."""
+    a = np.full((d, 6), -0.0)
+    a[1::2, 1] = 0.0
+    a[d // 2, 2] = np.inf
+    a[d - 1, 3] = -np.inf
+    a[0, 4], a[d - 1, 4] = np.inf, -np.inf
+    a[d // 3, 5] = np.nan
+    return a
+
+
+@pytest.mark.parametrize("rows", [1, 2, 7, 513])
+def test_row_sums_keep_numpys_row_sum_order(rows):
+    # the feature-major sums must give the bits of np.sum over row-major rows;
+    # the reference is a row-major copy, since np.sum over the transposed view
+    # walks it in memory order and adds in another order
+    rng = np.random.default_rng(50 + rows)
+    for d in [*range(1, 301), 512, 1024]:
+        a = rng.standard_normal((d, rows)) * 10.0 ** rng.integers(-12, 13, (d, rows))
+        b = _special_columns(d)
+        for block in (a, b):
+            with np.errstate(invalid="ignore"):  # inf - inf
+                got = fkm._row_sums(block)
+                ref = np.sum(np.ascontiguousarray(block.T), axis=-1)
+            assert got.shape == ref.shape, d
+            assert np.array_equal(got, ref, equal_nan=True), (d, rows)
+            assert np.array_equal(np.signbit(got), np.signbit(ref)), (d, rows)
 
 
 @pytest.mark.parametrize("pair", BLOCK_PAIRS, ids=lambda p: f"{p[0]}-{p[1]}")
@@ -477,10 +509,10 @@ def test_transport_sampler_memory_stays_near_the_cloud(block_families, which):
 
 
 def test_transport_allocates_no_unused_block_buffers(block_families):
-    # the transport's own loop needs one scratch block; the kernel it calls per
-    # block holds five (P_i x, [x | -x] twice as wide, scratch, gradient), and the
-    # previous block's forms and gradient are still alive: 7.7 blocks in all,
-    # 10.7 when the loop also allocated product and [x | -x] buffers it never used
+    # one set of block buffers per call: [x | -x] twice as wide, gradient, P_i x
+    # and scratch, plus the forms and a few per-row temporaries: 5.7 blocks in
+    # all, 7.7 when each block allocated its own kernel buffers and the previous
+    # block's forms were still alive
     fam = block_families[(9, 22)]
     out = np.empty((5_000, fam.ambient_dim))
     fkm._transported_draws(fam, np.random.default_rng(49), out[:10], 0.0)
@@ -490,7 +522,7 @@ def test_transport_allocates_no_unused_block_buffers(block_families):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 9 * fkm._BLOCK_ELEMENTS * out.itemsize
+    assert peak < 6.25 * fkm._BLOCK_ELEMENTS * out.itemsize
 
 
 def test_gather_index_reproduces_each_matrix():

@@ -18,16 +18,16 @@ once; F, the spherical gradient, the normal and the samplers' normal-geodesic
 transport derive from that one pass.
 
 Every kernel walks the rows in cache-sized blocks, feature-major: a block's
-[x | -x] is transposed once into a (2d, rows) array.  Every P_i is a signed
-permutation, so coordinate r of P_i x is sign_r x_{perm_r}: the family keeps
-one index per P_i into the rows of that array, and P_i x is one gather of
-whole contiguous rows, signs included, O(d) per point at every ambient
-dimension.  Each entry of P_i x is one entry of x times +-1, so the gather
-gives the same bits as a product with the dense matrix.  The sums over a
-point's coordinates (|x|^2, each q_i, the norms) run down the block's columns
-in numpy's pairwise row-sum order (``_row_sums``), and every elementwise step
-is the same operation on the same operands, so each output equals, bit for
-bit, what row-major numpy code gives.
+[x | -x] is transposed once into a (2d, rows) array.  The system stores each
+P_i as its signed permutation: coordinate r of P_i x is sign_r x_{perm_r}.  The
+family derives from those arrays one index per P_i into the rows of the block,
+and P_i x is one gather of whole contiguous rows, signs included, O(d) per
+point at every ambient dimension.  Each entry of P_i x is one entry of x times
++-1, so the gather gives the same bits as a product with the dense matrix.  The
+sums over a point's coordinates (|x|^2, each q_i, the norms) run down the
+block's columns in numpy's pairwise row-sum order (``_row_sums``), and every
+elementwise step is the same operation on the same operands, so each output
+equals, bit for bit, what row-major numpy code gives.
 
 Shape operators are exact: they come from the closed-form Hessian
 Hess F = 4 r I + 8 x x^T - 8 sum_i (2 P_i x (P_i x)^T + q_i P_i), restricted
@@ -66,7 +66,7 @@ from pathlib import Path
 import numpy as np
 
 from .catalog import MultiplicityPair, clifford_multiplier, delta
-from .clifford import CliffordSystem, build_system, signed_permutation
+from .clifford import CliffordSystem, build_system
 from .errors import InvalidPairError, NearFocalError, SamplingError
 
 SCHEMA_VERSION = 2
@@ -83,33 +83,19 @@ _MAX_ATTEMPTS = 50
 _BLOCK_ELEMENTS = 2**15
 
 
-def _gather_index(p: np.ndarray) -> np.ndarray | None:
-    """Columns of [x | -x] whose gather is P x, or None if p is no signed permutation.
-
-    Row r of P x is sign_r x_{perm_r}, so entry r of the index is perm_r for a
-    +1 and perm_r + d for a -1.
-    """
-    form = signed_permutation(p)
-    if form is None:
-        return None
-    perm, sign = form
-    return np.where(sign > 0, perm, perm + len(p))
-
-
 @dataclass(frozen=True)
 class FKMFamily:
-    """A Clifford system together with its multiplicity pair (m, l-m-1)."""
+    """A Clifford system, its multiplicity pair (m, l-m-1) and each P_i's signed gather index."""
 
     system: CliffordSystem
     pair: MultiplicityPair
     _gathers: tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        """Read each P_i into its signed gather index.
+        """Derive the gather indices; ValueError when the pair is not (m, l-m-1) of the system.
 
-        Raises ValueError when the pair is not (m, l-m-1) of the system, or
-        when some P_i has the wrong shape or is not a signed permutation, since
-        the gather would silently compute garbage on it.
+        Row r of P_i x is sign_r x_{perm_r}, so entry r of P_i's index into
+        [x | -x] is perm_r for a +1 and perm_r + d for a -1.
         """
         m, l = self.system.m, self.system.l
         if (self.pair.g, self.pair.m1, self.pair.m2) != (4, m, l - m - 1):
@@ -117,16 +103,9 @@ class FKMFamily:
                 f"pair (g, m1, m2) = ({self.pair.g}, {self.pair.m1}, {self.pair.m2}) does not "
                 f"match the system: m = {m}, l = {l} give (4, {m}, {l - m - 1})"
             )
-        d = self.system.ambient_dim
-        gathers = []
-        for i, p in enumerate(self.system.matrices):
-            if p.shape != (d, d):
-                raise ValueError(f"P_{i} has shape {p.shape}, expected {(d, d)}")
-            index = _gather_index(p)
-            if index is None:
-                raise ValueError(f"P_{i} is not a signed permutation")
-            index.setflags(write=False)
-            gathers.append(index)
+        perm, sign = self.system.perm, self.system.sign
+        gathers = np.where(sign > 0, perm, perm + self.system.ambient_dim)
+        gathers.setflags(write=False)
         object.__setattr__(self, "_gathers", tuple(gathers))
 
     @property

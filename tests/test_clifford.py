@@ -1,10 +1,68 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from isospectra import fkm
 from isospectra.catalog import delta
-from isospectra.clifford import CliffordSystem, VerificationReport, build_system, verify_system
+from isospectra.clifford import (
+    CliffordSystem,
+    VerificationReport,
+    _algebra_table,
+    build_system,
+    verify_system,
+)
+
+
+def _reference_build(m: int, k: int) -> list[np.ndarray]:
+    """The dense construction: P_0..P_m as int64 matrices, by block matrices and np.kron."""
+
+    def left_multiplications(dim):
+        table = _algebra_table(dim)
+        mats = []
+        for a in range(1, dim):
+            mat = np.zeros((dim, dim), dtype=np.int64)
+            for b in range(dim):
+                sign, idx = table[a, b]
+                mat[idx, b] = sign
+            mats.append(mat)
+        return mats
+
+    def block_system(skew, dim):
+        eye = np.eye(dim, dtype=np.int64)
+        zero = np.zeros((dim, dim), dtype=np.int64)
+        mats = [np.block([[eye, zero], [zero, -eye]]), np.block([[zero, eye], [eye, zero]])]
+        mats.extend(np.block([[zero, e], [-e, zero]]) for e in skew)
+        return mats
+
+    def skew_generators(count):
+        if count == 0:
+            return [], 1
+        if count <= 7:
+            dim = 2 if count == 1 else 4 if count <= 3 else 8
+            return left_multiplications(dim)[:count], dim
+        ps = block_system(left_multiplications(8), 8)
+        big = [ps[0] @ p for p in ps[1:]]
+        omega = np.eye(16, dtype=np.int64)
+        for g in big:
+            omega = omega @ g
+        tail, tail_dim = skew_generators(count - 8)
+        gens = [np.kron(g, np.eye(tail_dim, dtype=np.int64)) for g in big]
+        gens.extend(np.kron(omega, a) for a in tail)
+        return gens, 16 * tail_dim
+
+    gens, _ = skew_generators(m - 1)
+    return block_system([np.kron(np.eye(k, dtype=np.int64), g) for g in gens], k * delta(m))
+
+
+def _dense_to_json(m: int, l: int, mats) -> str:
+    """Clifford JSON written from dense matrices: every nonzero entry, row by row."""
+    triplets = []
+    for p in mats:
+        rows, cols = np.nonzero(p)
+        triplets.append([[int(r), int(c), int(p[r, c])] for r, c in zip(rows, cols)])
+    return json.dumps({"schema_version": 1, "m": m, "l": l, "matrices": triplets})
 
 
 def _valid_small_params():
@@ -15,6 +73,41 @@ def _valid_small_params():
             if k * delta(m) - m - 1 >= 1:
                 out.append((m, k))
     return out
+
+
+def test_build_matches_dense_reference():
+    cases = [(m, k) for m in range(1, 18) for k in (1, 2, 3, 5) if 2 * k * delta(m) <= 512]
+    assert len(cases) == 55
+    for m, k in cases:
+        system = build_system(m, k)
+        want = _reference_build(m, k)
+        assert len(system.matrices) == len(want) == m + 1, (m, k)
+        assert all(np.array_equal(p, q) for p, q in zip(system.matrices, want)), (m, k)
+        assert system.to_json() == _dense_to_json(m, system.l, want), (m, k)
+
+
+def test_large_systems_without_dense_matrices():
+    # d = 1024 to 8192, where dense int64 storage would take 152 MB to 14 GB
+    for m in (18, 19, 21, 25):
+        tracemalloc.start()
+        try:
+            family = fkm.FKMFamily.from_representation(m, 1)
+            system = family.system
+            report = verify_system(system)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        d = system.ambient_dim
+        assert d == 2 * delta(m) and report.passed and report.checks == (m + 1) * (m + 4) // 2, m
+        assert peak < 12 * (m + 1) * d * 8, (m, peak)
+        if m <= 21:
+            back = CliffordSystem.from_json(system.to_json())
+            assert np.array_equal(back.perm, system.perm) and np.array_equal(back.sign, system.sign)
+        if m == 19:
+            cloud = fkm.sample_focal_M2(family, 50, 19)
+            f = fkm.eval_F(family, cloud.points)
+            assert cloud.points.shape == (50, d) and np.max(np.abs(f + 1.0)) <= cloud.tolerance
+        assert "matrices" not in vars(system), m  # the dense form was never built
 
 
 def test_base_case_matches_block_form():
@@ -81,13 +174,13 @@ def test_entries_are_signed_permutations():
 
 def test_degenerate_single_matrix_accepted():
     base = build_system(1, 2)
-    single = CliffordSystem(m=0, l=base.l, matrices=(base.matrices[0],))
+    single = CliffordSystem.from_matrices(0, base.l, (base.matrices[0],))
     assert verify_system(single).passed
 
 
 def test_corrupted_system_fails_at_duplicate_index():
     sys = build_system(2, 1)
-    corrupted = CliffordSystem(sys.m, sys.l, (sys.matrices[0], sys.matrices[0], sys.matrices[2]))
+    corrupted = CliffordSystem.from_matrices(sys.m, sys.l, (sys.matrices[0], sys.matrices[0], sys.matrices[2]))
     report = verify_system(corrupted)
     assert not report.passed
     assert any("(P_0, P_1)" in f for f in report.failures)
@@ -96,28 +189,32 @@ def test_corrupted_system_fails_at_duplicate_index():
 def test_wrong_shape_reported():
     sys = build_system(2, 1)
     bad = np.eye(3, dtype=np.int64)
-    report = verify_system(CliffordSystem(sys.m, sys.l, (*sys.matrices[:2], bad)))
-    assert not report.passed
-    assert report.failures == ("P_2 has shape (3, 3), expected (4, 4)",)
-    assert report.checks == 3 + 6
+    with pytest.raises(ValueError, match=r"^P_2 has shape \(3, 3\), expected \(4, 4\)$"):
+        CliffordSystem.from_matrices(sys.m, sys.l, (*sys.matrices[:2], bad))
+    # the arrays given directly: one row of length 2l per P_i, each a signed permutation
+    with pytest.raises(ValueError, match=r"shape \(count, 4\)"):
+        CliffordSystem(sys.m, sys.l, sys.perm[:, :3], sys.sign[:, :3])
+    for perm, sign in ((sys.perm, 2 * sys.sign), (sys.perm % 3, sys.sign), (sys.perm, 1.5 * sys.sign)):
+        with pytest.raises(ValueError, match="^P_0 is not a signed permutation$"):
+            CliffordSystem(sys.m, sys.l, perm, sign)
 
 
 def test_wrong_matrix_count_reported():
     sys = build_system(2, 1)
     for system in (
-        CliffordSystem(2, sys.l, sys.matrices[:2]),
-        CliffordSystem(5, sys.l, sys.matrices),
+        CliffordSystem.from_matrices(2, sys.l, sys.matrices[:2]),
+        CliffordSystem.from_matrices(5, sys.l, sys.matrices),
     ):
         report = verify_system(system)
         assert not report.passed
         expected = f"expected m + 1 = {system.m + 1} matrices, got {len(system.matrices)}"
         assert report.failures == (expected,)
-        assert report.checks == _reference_verify(system).checks
+        assert report.checks == _reference_verify(system.m, system.l, system.matrices).checks
 
 
 def test_wrong_trace_reported():
     bad = np.eye(4, dtype=np.int64)
-    report = verify_system(CliffordSystem(0, 2, (bad,)))
+    report = verify_system(CliffordSystem.from_matrices(0, 2, (bad,)))
     assert not report.passed
     assert any("trace" in f for f in report.failures)
 
@@ -166,24 +263,31 @@ def test_from_json_rejects_bad_input():
                 CliffordSystem.from_json(json.dumps({**data, key: value}))
         with pytest.raises(ValueError, match=f"{key} must be an int >= 1"):
             CliffordSystem.from_json(json.dumps({k: v for k, v in data.items() if k != key}))
-    # the int64 extremes themselves are stored (and fail verification, not parsing)
-    for value in (2**63 - 1, -(2**63)):
-        trips = [[[*first[:2], value], *rest], *data["matrices"][1:]]
-        system = CliffordSystem.from_json(json.dumps({**data, "matrices": trips}))
-        assert system.matrices[0][first[0], first[1]] == value
+    # an int64 value other than +-1, a row given twice or missing, or a column used twice
+    # makes no signed permutation
+    second = data["matrices"][1]
+    bad_second = [[[*second[0][:2], value], *second[1:]] for value in (2**63 - 1, -(2**63), 0, 2, -2)]
+    bad_second.append([second[0], second[0], *second[2:]])  # row 0 twice, row 1 missing
+    bad_second.append(second[1:])  # row 0 missing
+    bad_second.append([*second[:-1], [second[-1][0], second[0][1], 1]])  # a column used twice
+    for trips in bad_second:
+        mats = [data["matrices"][0], trips, *data["matrices"][2:]]
+        with pytest.raises(ValueError, match="^P_1 is not a signed permutation$"):
+            CliffordSystem.from_json(json.dumps({**data, "matrices": mats}))
 
 
-def _reference_verify(system: CliffordSystem) -> VerificationReport:
-    """The dense verifier: every identity by matrix products, O(m^2 d^3).
+def _reference_verify(m: int, l: int, mats) -> VerificationReport:
+    """The dense verifier: every identity of dense matrices by matrix products, O(m^2 d^3).
 
     The products run in float64, where they are exact: the entries are
     integers of size at most 2, so every sum stays far below 2^53.
     """
-    mats = system.matrices
-    n = system.ambient_dim
+    n = 2 * l
     eye = np.eye(n)
     failures: list[str] = []
     checks = 0
+    if len(mats) != m + 1:
+        failures.append(f"expected m + 1 = {m + 1} matrices, got {len(mats)}")
     for i, p in enumerate(mats):
         checks += 1
         if p.shape != (n, n):
@@ -208,14 +312,14 @@ def _reference_verify(system: CliffordSystem) -> VerificationReport:
 
 
 def _corruptions(sys: CliffordSystem, rng: np.random.Generator):
-    """Five corrupted copies of ``sys``, each with one matrix changed."""
+    """Five corrupted copies of the matrices of ``sys``, each with one matrix changed."""
     n = sys.ambient_dim
     i = int(rng.integers(len(sys.matrices)))
     r, s = (int(v) for v in rng.choice(n, size=2, replace=False))
     c = int(np.flatnonzero(sys.matrices[i][r])[0])
 
     def swap_in(p):
-        return CliffordSystem(sys.m, sys.l, (*sys.matrices[:i], p, *sys.matrices[i + 1 :]))
+        return (*sys.matrices[:i], p, *sys.matrices[i + 1 :])
 
     flipped, two, swapped, zeroed = (sys.matrices[i].copy() for _ in range(4))
     flipped[r, c] = -flipped[r, c]
@@ -238,12 +342,19 @@ def test_verify_matches_dense_reference():
     assert len(cases) == 22
     for m, k in cases:
         sys = build_system(m, k)
-        for system in [sys, *_corruptions(sys, rng)]:
-            got, want = verify_system(system), _reference_verify(system)
-            assert got.passed == (system is sys), (m, k)
-            assert (got.passed, got.checks) == (want.passed, want.checks), (m, k)
-            if all(_is_signed_permutation(p) for p in system.matrices):
-                assert got.failures == want.failures, (m, k)
+        # a sign flip, a neighbouring P_j and two swapped rows stay signed permutations;
+        # an entry 2 and a zeroed row do not, and are refused before any verification
+        kept = (True, True, False, True, True, False)
+        for mats, signed in zip([sys.matrices, *_corruptions(sys, rng)], kept):
+            want = _reference_verify(sys.m, sys.l, mats)
+            assert want.passed == (mats is sys.matrices), (m, k)
+            assert all(_is_signed_permutation(p) for p in mats) == signed, (m, k)
+            if signed:
+                got = verify_system(CliffordSystem.from_matrices(sys.m, sys.l, mats))
+                assert (got.passed, got.checks, got.failures) == (want.passed, want.checks, want.failures), (m, k)
+            else:
+                with pytest.raises(ValueError, match="is not a signed permutation"):
+                    CliffordSystem.from_matrices(sys.m, sys.l, mats)
 
 
 def test_not_signed_permutation_reported():
@@ -261,11 +372,10 @@ def test_not_signed_permutation_reported():
     assert len(variants) == n * n + n * (n - 1)
     for p in variants:
         assert not _is_signed_permutation(p)
-        system = CliffordSystem(sys.m, sys.l, (*sys.matrices[:2], p, *sys.matrices[3:]))
-        report = verify_system(system)
-        assert report.failures == ("P_2 is not a signed permutation",)
-        assert report.checks == _reference_verify(system).checks
-        assert not _reference_verify(system).passed
+        mats = (*sys.matrices[:2], p, *sys.matrices[3:])
+        with pytest.raises(ValueError, match="^P_2 is not a signed permutation$"):
+            CliffordSystem.from_matrices(sys.m, sys.l, mats)
+        assert not _reference_verify(sys.m, sys.l, mats).passed
 
 
 def test_build_system_domain_errors():

@@ -528,14 +528,20 @@ def test_transport_allocates_no_unused_block_buffers(block_families):
 def test_gather_index_reproduces_each_matrix():
     # the gather of [x | -x] along a P_i's index is x @ P_i, bit for bit
     rng = np.random.default_rng(47)
+    checked = 0
     for m in range(1, 18):
-        for k in (1, 2):
-            system = build_system(m, k)
-            x = rng.standard_normal((3, system.ambient_dim))
+        for k in (1, 2, 3):
+            try:
+                family = FKMFamily.from_representation(m, k)
+            except InvalidPairError:  # m2 = k*delta(m) - m - 1 is no multiplicity
+                continue
+            x = rng.standard_normal((3, family.ambient_dim))
             signed = np.concatenate([x, -x], axis=1)
-            for p in system.matrices:
-                index = fkm._gather_index(p)
+            assert len(family._gathers) == m + 1
+            for index, p in zip(family._gathers, family.system.matrices):
                 assert np.array_equal(np.take(signed, index, axis=1), x @ p.astype(np.float64)), (m, k)
+            checked += 1
+    assert checked == 44
 
 
 def test_family_rejects_a_pair_that_is_not_the_systems():
@@ -549,8 +555,8 @@ def test_family_rejects_a_pair_that_is_not_the_systems():
 
 
 def test_family_rejects_matrices_that_are_no_signed_permutation():
+    # such a system cannot be built, so no family can gather along it
     system = build_system(4, 2)
-    pair = pair_g4(4, 3)
     data = json.loads(system.to_json())
     for corrupt in ("value", "duplicate"):
         trips = [list(map(list, t)) for t in data["matrices"]]
@@ -558,12 +564,10 @@ def test_family_rejects_matrices_that_are_no_signed_permutation():
             trips[2][0][2] = 2  # an entry of P_2 becomes 2
         else:
             trips[2][1][0] = trips[2][0][0]  # two nonzeros of P_2 share a row
-        bad = CliffordSystem.from_json(json.dumps({**data, "matrices": trips}))
         with pytest.raises(ValueError, match="P_2 is not a signed permutation"):
-            FKMFamily(bad, pair)
-    misshapen = CliffordSystem(system.m, system.l, (*system.matrices[:3], np.eye(3, dtype=np.int64)))
+            CliffordSystem.from_json(json.dumps({**data, "matrices": trips}))
     with pytest.raises(ValueError, match=r"P_3 has shape \(3, 3\)"):
-        FKMFamily(misshapen, pair)
+        CliffordSystem.from_matrices(system.m, system.l, (*system.matrices[:3], np.eye(3, dtype=np.int64)))
 
 
 def test_f_bounded_by_one(fam11):

@@ -27,9 +27,12 @@ only, O(1) work at any size:
 
 Both integer tests hold for every m1 >= 2 (the differences are
 (m1-1)s - m2 - 1 and m2((m1-2)s^2 + (2m1-3)s + m1-2) - 1).  The float route
-evaluates G, K_1, K_4 and S from ``math.lgamma`` closed forms, A from a
-square root, and K_2, K_3 by quadrature; it must agree with the exact route
-and refuses a verdict whose margin is within its error bound.  G and K_1..K_4
+evaluates G, K_1 and K_4 from Beta closed forms, S as
+exp(h((m2+1)/2) - h(s/2)) with h(x) = log Gamma(x+1/2) - log Gamma(x), A
+from a square root, and K_2, K_3 by quadrature; it must agree with the exact
+route and refuses a verdict whose margin is within its error bound.  The
+error of h stays a few ulp at any x, and a Beta function with a large
+argument goes through h too, so no bound grows with m2.  G and K_1..K_4
 are also integrated numerically once each (``quad``, adaptive Gauss-Legendre
 in numpy), and ``dual_agreement`` reports how far quadrature and closed form
 are apart.  The quadrature tolerance is relative only, so its error bounds
@@ -65,6 +68,10 @@ SCHEMA_VERSION = 2
 
 _EPS = sys.float_info.epsilon
 _QUAD_OPTS = dict(epsrel=1e-12, limit=200)
+# h(x) comes from its asymptotic series from here on, where the omitted term is below 3.5e-14
+_SERIES_FROM = 32.0
+# a Beta function whose larger argument reaches this goes by half steps (``_beta``)
+_STEPS_FROM = 4096.0
 # Gauss-Legendre nodes and weights on [-1, 1], a 20-point and a 41-point rule
 _GAUSS = tuple(np.polynomial.legendre.leggauss(k) for k in (20, 41))
 _NODES = np.concatenate([_GAUSS[0][0], _GAUSS[1][0]])
@@ -92,14 +99,44 @@ def _a_at_least_two(m1: int, m2: int) -> bool:
     return m2 * s**3 >= (m2 * s + m2 + 1) ** 2
 
 
-def _gamma_quotient(num, den) -> tuple[float, float]:
-    """prod Gamma(num) / prod Gamma(den) from ``math.lgamma``, with a relative error bound.
+def _half_step_log_gamma(x: float) -> tuple[float, float]:
+    """h(x) = log Gamma(x+1/2) - log Gamma(x) for x > 0, with a bound on its absolute error.
 
-    lgamma is good to a few ulp of its value, so the bound is 4 eps times the
-    sum of |lgamma| (plus one for exp and the rounding of the sum).
+    Below ``_SERIES_FROM`` h is the difference of two ``math.lgamma`` values,
+    each good to a few ulp.  From there on it is the asymptotic series
+    1/2 log x - 1/(8x) + 1/(192x^3) - 1/(640x^5), whose truncation error lies
+    between 0 and the first omitted term 17/(14336x^7); so the bound stays a
+    few ulp of h however large x is.
     """
-    logs = [math.lgamma(x) for x in num] + [-math.lgamma(x) for x in den]
-    return math.exp(math.fsum(logs)), 4 * _EPS * (1 + sum(map(abs, logs)))
+    if x < _SERIES_FROM:
+        a, b = math.lgamma(x + 0.5), math.lgamma(x)
+        return a - b, 4 * _EPS * (1 + abs(a) + abs(b))
+    u = 1.0 / (x * x)
+    h = 0.5 * math.log(x) - (1 / 8 - u * (1 / 192 - u / 640)) / x
+    return h, 4 * _EPS * (1 + abs(h)) + 17 / (14336 * x**7)
+
+
+def _exp(y: float, err: float) -> tuple[float, float]:
+    """exp(y) of a y within err of the true exponent, and its relative error bound."""
+    return math.exp(y), math.expm1(err) + 2 * _EPS
+
+
+def _beta(a: float, b: float) -> tuple[float, float]:
+    """B(a, b) = Gamma(a) Gamma(b) / Gamma(a+b) for half-integers a, b > 0, with a relative bound.
+
+    From ``math.lgamma``, good to a few ulp of each log Gamma, the bound is
+    4 eps times their sum, which grows like b log b.  Once the larger
+    argument b reaches ``_STEPS_FROM``, log Gamma(a+b) - log Gamma(b) is
+    taken in 2a half steps instead: since h(x) + h(x+1/2) = log x, they are
+    floor(a) logs and, for a half-integer a, one h.
+    """
+    a, b = sorted((a, b))
+    if b < _STEPS_FROM:
+        logs = (math.lgamma(a), math.lgamma(b), -math.lgamma(a + b))
+        return _exp(math.fsum(logs), 4 * _EPS * (1 + sum(map(abs, logs))))
+    logs = [math.lgamma(a)] + [-math.log(b + i) for i in range(int(a))]
+    h, err = _half_step_log_gamma(b + int(a)) if a % 1 else (0.0, 0.0)
+    return _exp(math.fsum(logs) - h, err + 4 * _EPS * (1 + abs(h) + sum(map(abs, logs))))
 
 
 # -- quadrature ---------------------------------------------------------------------
@@ -166,9 +203,14 @@ class SValue:
 
 
 def gamma_ratio_S(pair: MultiplicityPair) -> SValue:
-    """S = Gamma((m2+2)/2) Gamma((m1+m2)/2) / (Gamma((m2+1)/2) Gamma((m1+m2+1)/2))."""
-    m2, s = pair.m2, pair.m1 + pair.m2
-    value, rel = _gamma_quotient(((m2 + 2) / 2, s / 2), ((m2 + 1) / 2, (s + 1) / 2))
+    """S = Gamma((m2+2)/2) Gamma((m1+m2)/2) / (Gamma((m2+1)/2) Gamma((m1+m2+1)/2)).
+
+    That is exp(h((m2+1)/2) - h(s/2)) with h from ``_half_step_log_gamma``.
+    The bound covers both errors of h, the subtraction and the exp.
+    """
+    h2, err2 = _half_step_log_gamma((pair.m2 + 1) / 2)
+    hs, errs = _half_step_log_gamma((pair.m1 + pair.m2) / 2)
+    value, rel = _exp(h2 - hs, err2 + errs + _EPS * abs(h2 - hs))
     return SValue(value, value * rel)
 
 
@@ -218,7 +260,7 @@ class IntegralValue:
 def integral_G(pair: MultiplicityPair) -> IntegralValue:
     """G = int_0^{pi/2} sin^m1 x cos^m2 x dx, closed form B((m1+1)/2,(m2+1)/2)/2."""
     m1, m2 = pair.m1, pair.m2
-    beta, rel = _gamma_quotient(((m1 + 1) / 2, (m2 + 1) / 2), ((m1 + m2 + 2) / 2,))
+    beta, rel = _beta((m1 + 1) / 2, (m2 + 1) / 2)
     qval, qerr = quad(lambda x: np.sin(x) ** m1 * np.cos(x) ** m2, 0.0, math.pi / 2, **_QUAD_OPTS)
     return IntegralValue(beta / 2, beta / 2 * rel, qval, qerr)
 
@@ -250,8 +292,8 @@ def _k_end(m_in: int, m_out: int, sin2: float) -> tuple[float, float]:
     sin^2(theta) * [B((a-1)/2, (b+1)/2) + B((a-1)/2, (b+2)/2)] / 2 with
     (a, b) = (m1, m2) for alpha = 1 and (m2, m1) for alpha = 4.
     """
-    b1, r1 = _gamma_quotient(((m_in - 1) / 2, (m_out + 1) / 2), ((m_in + m_out) / 2,))
-    b2, r2 = _gamma_quotient(((m_in - 1) / 2, (m_out + 2) / 2), ((m_in + m_out + 1) / 2,))
+    b1, r1 = _beta((m_in - 1) / 2, (m_out + 1) / 2)
+    b2, r2 = _beta((m_in - 1) / 2, (m_out + 2) / 2)
     value = sin2 * (b1 + b2) / 2
     return value, sin2 * (b1 * r1 + b2 * r2) / 2 + 4 * _EPS * value
 

@@ -177,7 +177,9 @@ class CliffordSystem:
         if not (perm.ndim == 2 and perm.shape == sign.shape and perm.shape[1] == n):
             raise ValueError(f"perm and sign must have shape (count, {n}), got {perm.shape} and {sign.shape}")
         # checked before the cast to int64, so that no value is rounded into range
-        valid = (np.abs(sign) == 1).all(axis=1) & (np.sort(perm, axis=1) == np.arange(n)).all(axis=1)
+        valid = (np.abs(sign) == 1).all(axis=1)
+        if len(perm):  # without matrices, nothing of length 2l is allocated
+            valid &= (np.sort(perm, axis=1) == np.arange(n)).all(axis=1)
         if not valid.all():
             raise ValueError(f"P_{int(np.argmin(valid))} is not a signed permutation")
         for name, a in (("perm", perm), ("sign", sign)):
@@ -224,17 +226,27 @@ class CliffordSystem:
     def from_json(text: str) -> "CliffordSystem":
         """Parse ``to_json``'s text; raises ValueError on anything that is not a system of signed permutations."""
         data = json.loads(text)
+        if not isinstance(data, dict):
+            raise ValueError(f"Clifford JSON must be an object, got {type(data).__name__}")
         if data.get("schema_version") != SCHEMA_VERSION:
             raise ValueError(f"Clifford JSON schema_version must be {SCHEMA_VERSION}")
         for key in ("m", "l"):
             value = data.get(key)
             if isinstance(value, bool) or not isinstance(value, int) or value < 1:
                 raise ValueError(f"Clifford JSON {key} must be an int >= 1, got {value!r}")
+        matrices = data.get("matrices")
+        if not isinstance(matrices, list):
+            raise ValueError(f"Clifford JSON matrices must be a list, got {type(matrices).__name__}")
         n = 2 * data["l"]
         low, high = int(np.iinfo(np.int64).min), int(np.iinfo(np.int64).max)
         forms = []
-        for i, trips in enumerate(data["matrices"]):
-            for r, c, v in trips:
+        for i, trips in enumerate(matrices):
+            if not isinstance(trips, list):
+                raise ValueError(f"P_{i} must be a list of [row, column, value] triplets")
+            for trip in trips:
+                if not (isinstance(trip, list) and len(trip) == 3):
+                    raise ValueError(f"P_{i} has an entry that is no [row, column, value] triplet")
+                r, c, v = trip
                 if not (isinstance(r, int) and isinstance(c, int) and 0 <= r < n and 0 <= c < n):
                     raise ValueError(f"triplet index ({r}, {c}) is not an integer in [0, {n})")
                 if isinstance(v, bool) or not isinstance(v, int) or not low <= v <= high:

@@ -27,7 +27,8 @@ point at every ambient dimension.  Each entry of P_i x is one entry of x times
 sums over a point's coordinates (|x|^2, each q_i, the norms) run down the
 block's columns in numpy's pairwise row-sum order (``_row_sums``), and every
 elementwise step is the same operation on the same operands, so each output
-equals, bit for bit, what row-major numpy code gives.
+equals, bit for bit, what row-major numpy code gives.  ``eval_F`` takes q from
+``quadratic_forms`` and sums |x|^2 and sum_i q_i^2 row-major, with numpy itself.
 
 Shape operators are exact: they come from the closed-form Hessian
 Hess F = 4 r I + 8 x x^T - 8 sum_i (2 P_i x (P_i x)^T + q_i P_i), restricted
@@ -170,7 +171,8 @@ def _row_sums(a: np.ndarray) -> np.ndarray:
     the halves.  Each accumulator is one ``np.add.reduce`` over the outer axis,
     which adds in order.  When d = 128 * 2^p every leaf has 128 values, so all
     leaves are summed at once and the tree is added level by level.  Like
-    numpy's, every reduce starts from +0.0, so no sum is -0.0.
+    numpy's, every reduce starts from +0.0, so no sum is -0.0.  Where two NaNs
+    meet, the sign of the NaN that propagates may differ from numpy's.
     """
     d, n = a.shape
     if d < 8:
@@ -282,13 +284,11 @@ def eval_F(family: FKMFamily, x) -> np.ndarray | float:
     q = quadratic_forms(family, x)
     flat = x.reshape(-1, x.shape[-1])
     flat_q = q.reshape(-1, q.shape[-1])
-    d, k = flat.shape[1], flat_q.shape[1]
     out = np.empty(len(flat))
-    for rows, signed, qb in _feature_blocks(flat, k):
-        # the -x half is free scratch here
-        r = _row_sums(np.multiply(signed[:d], signed[:d], out=signed[d:]))
-        qb[...] = flat_q[rows].T
-        out[rows] = r**2 - 2.0 * _row_sums(np.multiply(qb, qb, out=qb))
+    # numpy's row-major sums, over row blocks so that no temporary outgrows a block
+    for rows in _block_slices(*flat.shape):
+        r = np.add.reduce(np.square(flat[rows]), axis=-1)
+        out[rows] = r**2 - 2.0 * np.add.reduce(np.square(flat_q[rows]), axis=-1)
     out = out.reshape(x.shape[:-1])
     return float(out) if out.ndim == 0 else out
 
@@ -658,17 +658,3 @@ def shape_operator_spectrum(family: FKMFamily, x) -> ShapeSpectrum:
         for alpha in range(4)
     )
     return ShapeSpectrum(eigenvalues=eigs, clusters=clusters, targets=targets)
-
-
-def tube_volume_weight(pair: MultiplicityPair, theta1: float, theta: float) -> float:
-    """Relative volume element of the parallel hypersurface at oriented distance theta.
-
-    sin^{m1}(2(theta1-theta)) cos^{m2}(2(theta1-theta)) normalized to 1 at
-    theta = 0; defined on the open interval (theta1 - pi/4, theta1).
-    """
-    lo, hi = theta1 - math.pi / 4.0, theta1
-    if not lo < theta < hi:
-        raise ValueError(f"theta must lie in ({lo:.6f}, {hi:.6f}), got {theta}")
-    u = 2.0 * (theta1 - theta)
-    base = math.sin(2.0 * theta1) ** pair.m1 * math.cos(2.0 * theta1) ** pair.m2
-    return math.sin(u) ** pair.m1 * math.cos(u) ** pair.m2 / base

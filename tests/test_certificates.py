@@ -429,6 +429,54 @@ def test_certify_batch_small():
         assert cert.verdicts == cert.exact_verdicts, (pair.m1, pair.m2)
 
 
+# the family (2, 2k-1) where S's margin, about 1/(4 m2), falls below the error of
+# lgamma's values near 1e8
+LARGE_M2 = (4000001, 8000001, 16000001)
+
+
+def test_float_route_decides_large_m2():
+    for m2 in LARGE_M2:
+        cert = certs.certify_hypersurface(pair_g4(2, m2))
+        assert cert.status == "pass", m2
+        assert cert.verdicts == cert.exact_verdicts, m2
+
+
+def _mp_log_gamma_ratio(num, den):
+    return mpmath.fsum(mpmath.loggamma(mpmath.mpf(x) / 2) for x in num) - mpmath.fsum(
+        mpmath.loggamma(mpmath.mpf(x) / 2) for x in den)
+
+
+def test_S_within_its_bound_of_mpmath():
+    pairs = [p for p in admissible_pairs(1100) if min(p.m1, p.m2) >= 2][::7]
+    pairs += [pair_g4(2, m2) for m2 in LARGE_M2]
+    with mpmath.workdps(40):
+        for pair in pairs:
+            m2, s = pair.m2, pair.m1 + pair.m2
+            got = certs.gamma_ratio_S(pair)
+            ref = mpmath.exp(_mp_log_gamma_ratio((m2 + 2, s), (m2 + 1, s + 1)))
+            assert abs(got.value - ref) <= got.error_bound, (pair.m1, m2)
+            assert got.error_bound < 1e-12 * got.value, (pair.m1, m2)
+
+
+def test_closed_forms_at_large_m2_within_their_bounds_of_mpmath():
+    # G, K_1 and K_4 there take Gamma(a+b) / Gamma(b) in half steps of h
+    with mpmath.workdps(40):
+        for m1, m2 in [(2, m) for m in LARGE_M2] + [(3, 8000001), (5, 16000001)]:
+            s = m1 + m2
+            sin2 = [mpmath.mpf(m) / (2 * (s + mpmath.sqrt(mpmath.mpf(s * (s - m))))) for m in (m1, m2)]
+            refs = [
+                mpmath.exp(_mp_log_gamma_ratio((m1 + 1, m2 + 1), (s + 2,))) / 2,
+                *(k * (mpmath.exp(_mp_log_gamma_ratio((a - 1, b + 1), (s,)))
+                       + mpmath.exp(_mp_log_gamma_ratio((a - 1, b + 2), (s + 1,)))) / 2
+                  for k, (a, b) in zip(sin2, ((m1, m2), (m2, m1)))),
+            ]
+            pair = pair_g4(m1, m2)
+            values = certs.integral_G(pair), certs.integral_K(pair, 1), certs.integral_K(pair, 4)
+            for got, ref in zip(values, refs):
+                assert abs(got.value - ref) <= got.error_bound, (m1, m2)
+                assert got.error_bound < 1e-12 * got.value, (m1, m2)
+
+
 def test_certify_integrates_each_quantity_once(monkeypatch):
     calls = []
     real_quad = certs.quad

@@ -3,6 +3,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from isospectra import fkm
 from isospectra.catalog import delta
@@ -265,7 +267,7 @@ def test_from_json_rejects_bad_input():
             CliffordSystem.from_json(json.dumps({k: v for k, v in data.items() if k != key}))
     # an int64 value other than +-1, a row given twice or missing, or a column used twice
     # makes no signed permutation
-    second = data["matrices"][1]
+    first_mat, second = data["matrices"][:2]
     bad_second = [[[*second[0][:2], value], *second[1:]] for value in (2**63 - 1, -(2**63), 0, 2, -2)]
     bad_second.append([second[0], second[0], *second[2:]])  # row 0 twice, row 1 missing
     bad_second.append(second[1:])  # row 0 missing
@@ -274,6 +276,79 @@ def test_from_json_rejects_bad_input():
         mats = [data["matrices"][0], trips, *data["matrices"][2:]]
         with pytest.raises(ValueError, match="^P_1 is not a signed permutation$"):
             CliffordSystem.from_json(json.dumps({**data, "matrices": mats}))
+    # a document of the wrong shape: not an object, no list of matrices, a matrix
+    # that is no list, or an entry that is no triplet
+    for doc in ([data], 3, 2.5, "text", None):
+        with pytest.raises(ValueError, match="must be an object"):
+            CliffordSystem.from_json(json.dumps(doc))
+    for mats in (None, 3, "text", {"0": []}):
+        with pytest.raises(ValueError, match="matrices must be a list"):
+            CliffordSystem.from_json(json.dumps({**data, "matrices": mats}))
+    with pytest.raises(ValueError, match="matrices must be a list"):
+        CliffordSystem.from_json(json.dumps({k: v for k, v in data.items() if k != "matrices"}))
+    for matrix in (3, None, "abc"):
+        with pytest.raises(ValueError, match="^P_1 must be a list of"):
+            CliffordSystem.from_json(json.dumps({**data, "matrices": [first_mat, matrix]}))
+    for trip in (3, None, "abc", [0, 0], [0, 0, 1, 1], []):
+        with pytest.raises(ValueError, match="^P_1 has an entry that is no"):
+            CliffordSystem.from_json(json.dumps({**data, "matrices": [first_mat, [*second[:-1], trip]]}))
+    # a count other than m + 1 is read, and verify_system reports it
+    short = CliffordSystem.from_json(json.dumps({**data, "matrices": [first_mat]}))
+    assert verify_system(short).failures == ("expected m + 1 = 3 matrices, got 1",)
+    # so is a document without matrices, whose l then sizes nothing
+    empty = CliffordSystem.from_json(json.dumps({**data, "l": 10**12, "matrices": []}))
+    assert empty.perm.shape == empty.sign.shape == (0, 2 * 10**12)
+
+
+# reproducible: the same examples on every run, and no example database
+PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=100)
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    max_leaves=12,
+)
+_SMALL = st.integers(-2, 9) | _JSON
+# documents with the right keys, filled with near-valid and arbitrary values
+_DOCUMENTS = st.fixed_dictionaries({
+    "schema_version": st.sampled_from([1, 2, 1.0, True, None, "1"]),
+    "m": _SMALL,
+    "l": _SMALL,
+    "matrices": st.lists(st.lists(st.lists(_SMALL, max_size=4) | _SMALL, max_size=6) | _SMALL, max_size=4)
+    | _JSON,
+})
+_VALID_TEXT = build_system(2, 1).to_json()
+# (where, how many characters to remove, what to put there): a deletion, insertion or replacement
+_EDITS = st.tuples(
+    st.integers(0, len(_VALID_TEXT)),
+    st.integers(0, 1),
+    st.sampled_from(list('0123456789-+.eE[]{},:" tfn') + ["", "true", "null", "1.5", "[]"]),
+)
+
+
+def _read_or_refuse(text: str):
+    """from_json either refuses with ValueError or returns a system that round-trips to itself."""
+    try:
+        system = CliffordSystem.from_json(text)
+    except ValueError:
+        return
+    again = CliffordSystem.from_json(system.to_json())
+    assert (again.m, again.l) == (system.m, system.l)
+    assert np.array_equal(again.perm, system.perm) and np.array_equal(again.sign, system.sign)
+    assert again.to_json() == system.to_json()
+
+
+@PROPERTY
+@given(st.one_of(_JSON, _DOCUMENTS))
+def test_from_json_reads_or_refuses_any_json_value(value):
+    _read_or_refuse(json.dumps(value))
+
+
+@PROPERTY
+@given(_EDITS)
+def test_from_json_reads_or_refuses_any_single_edit(edit):
+    at, removed, text = edit
+    _read_or_refuse(_VALID_TEXT[:at] + text + _VALID_TEXT[at + removed:])
 
 
 def _reference_verify(m: int, l: int, mats) -> VerificationReport:

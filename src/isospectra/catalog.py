@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -29,11 +30,23 @@ SCHEMA_VERSION = 1
 _DELTA_TABLE = (1, 2, 4, 4, 8, 8, 8, 8)
 
 
+def _integer(name: str, value, error=ValueError) -> int:
+    """value as a Python int; ``error`` for a bool or anything ``operator.index`` refuses."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise error(f"{name} must be an int, got {value!r}")
+
+
 def delta(m: int) -> int:
     """Dimension delta(m) of an irreducible module of the Clifford algebra C_{m-1}.
 
     delta(1..8) = 1, 2, 4, 4, 8, 8, 8, 8 and delta(m+8) = 16*delta(m).
     """
+    if type(m) is not int:
+        m = _integer("m", m)
     if m < 1:
         raise ValueError(f"delta(m) requires m >= 1, got {m}")
     q, r = divmod(m - 1, 8)
@@ -42,13 +55,19 @@ def delta(m: int) -> int:
 
 @dataclass(frozen=True)
 class MultiplicityPair:
-    """Curvature multiplicities (m1, m2) of a g-family, validated on construction."""
+    """Curvature multiplicities (m1, m2) of a g-family, validated on construction.
+
+    g, m1 and m2 are stored as Python ints, so integer arithmetic on them is
+    exact whatever integer type they were given as.
+    """
 
     g: int
     m1: int
     m2: int
 
     def __post_init__(self):
+        for name in ("g", "m1", "m2"):
+            object.__setattr__(self, name, _integer(name, getattr(self, name), InvalidPairError))
         if self.g not in (1, 2, 3, 4, 6):
             raise InvalidPairError(f"g must be in {{1,2,3,4,6}}, got {self.g}")
         if self.m1 < 1 or self.m2 < 1:
@@ -181,8 +200,10 @@ def clifford_multiplier(m1: int, m2: int) -> int | None:
     """k such that (m1, m2) = (m1, k*delta(m1) - m1 - 1), or None.
 
     Tests the *oriented* pair; (m1, m2) and (m2, m1) are distinct families
-    whose focal submanifolds interchange.
+    whose focal submanifolds interchange.  ValueError when either is no int.
     """
+    if type(m1) is not int or type(m2) is not int:  # certify_focal calls this per pair
+        m1, m2 = _integer("m1", m1), _integer("m2", m2)
     if m1 < 1 or m2 < 1:
         return None
     d = delta(m1)

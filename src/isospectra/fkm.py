@@ -34,17 +34,20 @@ Shape operators are exact: they come from the closed-form Hessian
 Hess F = 4 r I + 8 x x^T - 8 sum_i (2 P_i x (P_i x)^T + q_i P_i), restricted
 to the tangent space of the level through the point, through the same pass.
 
-Sampling is deterministic given (seed): one seeded generator drives the whole
-vectorized pass, so results do not depend on scheduling or thread counts.
-Each batch streams into the cloud's own array: a proposal draws straight into
-the unfilled tail, turns the draws into candidates in place one row block at a
-time, and the rows it drops or that miss the level check are compacted away
-in place.  Besides the cloud, a call holds the level check's per-row forms
-q, for M2 the coefficients c, and a few block-sized buffers allocated once per
-call; the level-set and M1 transport forms the gradient in those buffers,
-block by block.  Each cloud's meta records its draws,
-batches, dropped and rejected candidates and its worst residual, and the
-``isospectra`` logger reports them at DEBUG.
+Sampling is deterministic given (seed): one seeded generator makes every draw.
+The standard normals of a batch are drawn one block ahead on a second thread,
+in block order, from that same generator, while the calling thread transforms
+the block before; consecutive fills give the stream of one whole-batch fill,
+so results do not depend on scheduling or thread counts.  Every kernel runs
+on the calling thread.  Each batch streams into the cloud's own array: a
+proposal draws straight into the unfilled tail, turns the draws into
+candidates in place one row block at a time, and the rows it drops or that
+miss the level check are compacted away in place.  Besides the cloud, a call
+holds the level check's per-row forms q, for M2 the coefficients c, and a few
+block-sized buffers allocated once per call; the level-set and M1 transport
+forms the gradient in those buffers, block by block.  Each cloud's meta
+records its draws, batches, dropped and rejected candidates and its worst
+residual, and the ``isospectra`` logger reports them at DEBUG.
 Level-set and M1 clouds are push-forwards of the uniform sphere measure along
 the normal geodesics, and the transport is exact: f(cos s x + sin s xi(x)) =
 cos 4(theta_0 - s) (Münzner 1980).  On a level set that push-forward is the
@@ -61,6 +64,8 @@ import csv
 import json
 import logging
 import math
+import numbers
+import threading
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -201,13 +206,15 @@ def _block_slices(n: int, d: int):
     return [slice(start, min(start + step, n)) for start in range(0, n, step)]
 
 
-def _feature_blocks(x: np.ndarray, *widths: int):
+def _feature_blocks(x: np.ndarray, *widths: int, wait=None):
     """Walk the rows of 2-D x in blocks of about ``_BLOCK_ELEMENTS`` values, feature-major.
 
     Yields ``(rows, signed, *buffers)``: the slice; the block's [x | -x]
     transposed, a (2d, n) array whose first d rows are x[rows].T, so that
     P_i x is a gather of whole rows of it; and one uninitialized (w, n) array
-    per width.  All are C-contiguous and allocated once per call.
+    per width.  All are C-contiguous and allocated once per call.  ``wait``,
+    if given, is called before each block is read and returns once the
+    block's rows of x are written (``_DrawAhead``).
     """
     n, d = x.shape
     blocks = _block_slices(n, d)
@@ -215,11 +222,57 @@ def _feature_blocks(x: np.ndarray, *widths: int):
     widths = (2 * d, *widths)
     flat = [np.empty(w * size) for w in widths]
     for rows in blocks:
+        if wait is not None:
+            wait()
         count = rows.stop - rows.start
         signed, *buffers = (buf[: w * count].reshape(w, count) for buf, w in zip(flat, widths))
         signed[:d] = x[rows].T
         np.negative(signed[:d], out=signed[d:])
         yield rows, signed, *buffers
+
+
+class _DrawAhead:
+    """Standard normals into the row blocks of 2-D x, in block order, on a second thread.
+
+    ``with _DrawAhead(rng, x) as wait:`` starts the thread; each ``wait()``
+    returns once the next block of ``_block_slices`` is filled, or re-raises
+    the exception of its fill.  The fills are consecutive calls on ``rng``, so
+    x receives exactly the stream of one ``rng.standard_normal(out=x)``; the
+    caller draws nothing from ``rng`` until the ``with`` ends.  Leaving the
+    ``with``, early or not, stops the thread after the block it is filling and
+    joins it.  numpy fills without the GIL, so block j+1 is drawn while the
+    caller transforms block j.
+    """
+
+    def __init__(self, rng, x: np.ndarray):
+        self._filled = threading.Semaphore(0)
+        self._stop = False
+        self._error = None
+        self._thread = threading.Thread(target=self._fill, args=(rng, x), name="isospectra-draws")
+
+    def _fill(self, rng, x: np.ndarray) -> None:
+        try:
+            for rows in _block_slices(*x.shape):
+                if self._stop:
+                    return
+                rng.standard_normal(out=x[rows])
+                self._filled.release()
+        except BaseException as exc:  # handed to the caller by wait()
+            self._error = exc
+            self._filled.release()
+
+    def wait(self) -> None:
+        self._filled.acquire()
+        if self._error is not None:
+            raise self._error
+
+    def __enter__(self):
+        self._thread.start()
+        return self.wait
+
+    def __exit__(self, *exc_info) -> None:
+        self._stop = True
+        self._thread.join()
 
 
 def _block_forms(family: FKMFamily, signed: np.ndarray, q: np.ndarray, grad: np.ndarray,
@@ -447,8 +500,8 @@ def _sample(family: FKMFamily, count, seed: int, tol, level, target: float, prop
     for arg, value in (("count", count), ("seed", seed)):
         if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 0:
             raise ValueError(f"{arg} must be an int >= 0, got {value!r}")
-    if not tol > 0:
-        raise ValueError(f"tol must be > 0, got {tol!r}")
+    if isinstance(tol, bool) or not isinstance(tol, numbers.Real) or not tol > 0:
+        raise ValueError(f"tol must be a real number > 0, got {tol!r}")
     name = level if isinstance(level, str) else f"level set f = {level}"
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     out = np.empty((count, family.ambient_dim))
@@ -479,29 +532,30 @@ def _sample(family: FKMFamily, count, seed: int, tol, level, target: float, prop
 def _transported_draws(family: FKMFamily, rng, out: np.ndarray, theta: float) -> int:
     """Uniform sphere points moved along their normal geodesic to level cos(4 theta).
 
-    Draws ``len(out)`` standard normal rows into ``out`` and turns them, in
-    place and one feature-major block at a time, into the unit rows of their
-    transported points; returns how many it kept at the front of ``out``.
-    Draws within 1e-8 of a focal value, where the normal is undefined, are
-    dropped.  The block buffers, forms included, are allocated once per call.
+    Draws ``len(out)`` standard normal rows into ``out``, one block ahead on a
+    second thread (``_DrawAhead``), and turns them, in place and one
+    feature-major block at a time, into the unit rows of their transported
+    points; returns how many it kept at the front of ``out``.  Draws within
+    1e-8 of a focal value, where the normal is undefined, are dropped.  The
+    block buffers, forms included, are allocated once per call.
     """
-    rng.standard_normal(out=out)
     d, k = out.shape[1], len(family._gathers)
     keep = np.empty(len(out), dtype=bool)
-    for rows, signed, q, xi, px, tmp in _feature_blocks(out, k, d, d, d):
-        x = signed[:d]
-        signed /= _row_norms(x, tmp)  # both halves: -x / |x| is -(x / |x|)
-        r = _block_forms(family, signed, q, xi, px, tmp)
-        f = r**2 - 2.0 * _row_sums(q * q)
-        keep[rows] = ok = np.abs(f) < 1.0 - 1e-8
-        # the spherical gradient, then the unit normal; dropped rows divide by 1
-        xi -= np.multiply(4.0 * f, x, out=tmp)
-        xi /= np.where(ok, _row_norms(xi, tmp), 1.0)
-        move = np.arccos(np.where(ok, f, 1.0)) / 4.0 - theta
-        x *= np.cos(move)
-        x += np.multiply(np.sin(move), xi, out=tmp)
-        x /= _row_norms(x, tmp)
-        out[rows] = x.T
+    with _DrawAhead(rng, out) as drawn:
+        for rows, signed, q, xi, px, tmp in _feature_blocks(out, k, d, d, d, wait=drawn):
+            x = signed[:d]
+            signed /= _row_norms(x, tmp)  # both halves: -x / |x| is -(x / |x|)
+            r = _block_forms(family, signed, q, xi, px, tmp)
+            f = r**2 - 2.0 * _row_sums(q * q)
+            keep[rows] = ok = np.abs(f) < 1.0 - 1e-8
+            # the spherical gradient, then the unit normal; dropped rows divide by 1
+            xi -= np.multiply(4.0 * f, x, out=tmp)
+            xi /= np.where(ok, _row_norms(xi, tmp), 1.0)
+            move = np.arccos(np.where(ok, f, 1.0)) / 4.0 - theta
+            x *= np.cos(move)
+            x += np.multiply(np.sin(move), xi, out=tmp)
+            x /= _row_norms(x, tmp)
+            out[rows] = x.T
     return _compact(out, keep)
 
 
@@ -562,30 +616,31 @@ def sample_focal_M1(
 def _eigenspace_draws(family: FKMFamily, rng, out: np.ndarray) -> int:
     """Unit points of M2 written to the front of ``out``; returns how many.
 
-    Per row, a unit c is drawn in R^{m+1} and y standard normal, straight into
-    ``out``; y + sum_i c_i P_i y, normalized, is the candidate.  Each
-    feature-major block takes the products c_i (P_i y) in the order i = 0..m
-    onto a zero sum, which is then added to y.  Rows whose norm is <= 1e-6
-    are dropped.
+    Per row, a unit c is drawn in R^{m+1}, all rows' c first on the calling
+    thread, then y standard normal, straight into ``out`` and one block ahead
+    on a second thread (``_DrawAhead``); y + sum_i c_i P_i y, normalized, is
+    the candidate.  Each feature-major block takes the products c_i (P_i y)
+    in the order i = 0..m onto a zero sum, which is then added to y.  Rows
+    whose norm is <= 1e-6 are dropped.
     """
     c = rng.standard_normal((len(out), len(family._gathers)))
-    rng.standard_normal(out=out)
     d, k = out.shape[1], c.shape[1]
     keep = np.empty(len(out), dtype=bool)
-    for rows, signed, ct, term, acc in _feature_blocks(out, k, d, d):
-        ct[...] = c[rows].T
-        ct /= _row_norms(ct, term[:k])
-        acc[...] = 0.0
-        for index, ci in zip(family._gathers, ct):
-            np.take(signed, index, axis=0, out=term, mode="clip")
-            term *= ci
-            acc += term
-        y = signed[:d]
-        y += acc
-        norms = _row_norms(y, term)
-        keep[rows] = ok = norms > 1e-6
-        y /= np.where(ok, norms, 1.0)
-        out[rows] = y.T
+    with _DrawAhead(rng, out) as drawn:
+        for rows, signed, ct, term, acc in _feature_blocks(out, k, d, d, wait=drawn):
+            ct[...] = c[rows].T
+            ct /= _row_norms(ct, term[:k])
+            acc[...] = 0.0
+            for index, ci in zip(family._gathers, ct):
+                np.take(signed, index, axis=0, out=term, mode="clip")
+                term *= ci
+                acc += term
+            y = signed[:d]
+            y += acc
+            norms = _row_norms(y, term)
+            keep[rows] = ok = norms > 1e-6
+            y /= np.where(ok, norms, 1.0)
+            out[rows] = y.T
     return _compact(out, keep)
 
 

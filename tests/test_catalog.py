@@ -2,6 +2,7 @@ import json
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from isospectra import catalog
@@ -23,6 +24,20 @@ def test_pair_validation():
         MultiplicityPair(4, 4, 6)
     assert pair_g4(2, 2).total == 4  # the one both-even exception
     assert MultiplicityPair(1, 3, 3).g == 1
+
+
+@pytest.mark.parametrize("args", [(4, 2.5, 3), (4, 3.0, 4.0), (4, "3", 4), (4, True, 1), (True, 1, 1),
+                                  (4, 3, np.True_), (4.0, 3, 4), (4, None, 3)], ids=repr)
+def test_pair_refuses_multiplicities_that_are_no_int(args):
+    with pytest.raises(InvalidPairError, match="must be an int"):
+        MultiplicityPair(*args)
+
+
+def test_pair_stores_numpy_ints_as_python_ints():
+    pair = MultiplicityPair(np.int32(4), np.int64(2), np.uint16(16001))
+    assert pair == MultiplicityPair(4, 2, 16001)
+    assert all(type(v) is int for v in (pair.g, pair.m1, pair.m2))
+    assert type(pair.swapped().m1) is int
 
 
 # -- dimension --------------------------------------------------------------------
@@ -51,6 +66,10 @@ def test_delta_table_and_periodicity():
         catalog.delta(0)
     with pytest.raises(ValueError):
         catalog.delta(-3)
+    for m in (4.0, "4", True, None, 2.5):
+        with pytest.raises(ValueError, match="must be an int"):
+            catalog.delta(m)
+    assert catalog.delta(np.int64(9)) == 16
 
 
 # -- minimal angle ------------------------------------------------------------------

@@ -7,7 +7,7 @@ import pytest
 
 from isospectra import certificates as certs
 from isospectra import exact
-from isospectra.catalog import admissible_pairs, pair_g4
+from isospectra.catalog import MultiplicityPair, admissible_pairs, pair_g4
 from isospectra.errors import DivergenceError, UnsupportedCaseError
 from isospectra.exact import PiRational, Surd, beta_half, gamma_half, sign_of_terms
 
@@ -434,6 +434,13 @@ def test_certify_batch_small():
 LARGE_M2 = (4000001, 8000001, 16000001)
 
 
+def test_numpy_multiplicities_certify_in_exact_integers():
+    # stored as Python ints, m2 s^3 of (2, 16000001) is exact; in int64 it overflowed with a warning
+    cert = certs.certify_hypersurface(MultiplicityPair(4, np.int64(2), np.int64(16000001)))
+    assert cert.status == "pass"
+    assert cert.to_dict() == certs.certify_hypersurface(pair_g4(2, 16000001)).to_dict()
+
+
 def test_float_route_decides_large_m2():
     for m2 in LARGE_M2:
         cert = certs.certify_hypersurface(pair_g4(2, m2))
@@ -581,6 +588,10 @@ def test_solomon_quotient_resolution():
 def test_solomon_rejects_non_clifford():
     with pytest.raises(UnsupportedCaseError):
         certs.solomon_comparison(2, 2)
+    for args in ((2.0, 3), (2, 3.0), (True, 1), ("2", 3)):
+        with pytest.raises(ValueError, match="must be an int"):
+            certs.solomon_comparison(*args)
+    assert certs.solomon_comparison(np.int64(2), np.int64(9)) == certs.solomon_comparison(2, 9)
 
 
 def test_solomon_undetermined_is_the_seven():

@@ -1,6 +1,8 @@
 import json
 import logging
 import math
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -33,6 +35,11 @@ def test_family_constructors(fam11, fam43):
         FKMFamily.from_representation(4, 1)  # m2 = -1
     with pytest.raises(InvalidPairError):
         FKMFamily.from_pair(2, 2)  # not of Clifford type
+    for args in ((4.0, 3), (4, 3.0), (True, 1), ("4", 3)):
+        with pytest.raises(ValueError, match="must be an int"):
+            FKMFamily.from_pair(*args)
+    fam = FKMFamily.from_pair(np.int64(4), np.int64(3))
+    assert fam.pair == fam43.pair and type(fam.m1) is int
 
 
 # -- F, grad F, spherical gradient ------------------------------------------------
@@ -455,15 +462,20 @@ def test_streamed_clouds_match_whole_batch_reference(block_families, pair):
 
 
 class _FifthRowsReplaced:
-    """A generator whose normal draws of width len(row) have every 5th row set to ``row``."""
+    """A generator whose normal draws of width len(row) have every 5th row set to ``row``.
+
+    The rows are counted across calls, so a batch drawn in one call or in
+    consecutive blocks gets the same rows 4, 9, 14, ... replaced.
+    """
 
     def __init__(self, rng, row):
-        self.rng, self.row = rng, row
+        self.rng, self.row, self.rows = rng, row, 0
 
     def standard_normal(self, size=None, out=None):
         x = self.rng.standard_normal(size=size, out=out)
         if x.shape[-1] == len(self.row):
-            x[4::5] = self.row
+            x[(4 - self.rows) % 5 :: 5] = self.row
+            self.rows += len(x)
         return x
 
 
@@ -671,6 +683,14 @@ def test_sampler_rejects_nonpositive_tol(fam11, which):
 
 
 @pytest.mark.parametrize("which", SAMPLERS)
+def test_sampler_rejects_a_tol_that_is_no_real_number(fam11, which):
+    for tol in ("1e-3", None, True, 1e-3j, [1e-3]):
+        with pytest.raises(ValueError, match="tol"):
+            SAMPLERS[which](fam11, 10, tol)
+    assert SAMPLERS[which](fam11, 10, np.float32(1e-6)).count == 10
+
+
+@pytest.mark.parametrize("which", SAMPLERS)
 def test_sampler_attempt_cap(fam11, monkeypatch, which):
     # every candidate reads as the focal value opposite to the target, so only
     # the attempt and failure-rate policy ends the loop
@@ -733,6 +753,134 @@ def test_sampler_counters_record_drops_and_rejections(block_families, which, mon
         filled += made - missed
     assert {key: cloud.meta[key] for key in expected} == expected
     assert cloud.meta["max_residual"] == np.abs(real(fam, cloud.points) - target).max()
+
+
+# -- normals drawn one block ahead ---------------------------------------------------
+
+
+def _draw_threads():
+    return [thread for thread in threading.enumerate() if thread.name == "isospectra-draws"]
+
+
+@pytest.mark.parametrize("d", [6, 16, 256])
+def test_draw_ahead_fills_the_stream_of_one_whole_batch_fill(d):
+    block = fkm._BLOCK_ELEMENTS // d
+    for n in (0, 1, block - 1, block, 3 * block + 5):
+        x = np.full((n, d), np.nan)
+        rng = np.random.default_rng(60 + n)
+        with fkm._DrawAhead(rng, x) as wait:
+            for _ in fkm._block_slices(n, d):
+                wait()
+        reference = np.random.default_rng(60 + n)
+        assert np.array_equal(x, reference.standard_normal((n, d))), n
+        # the generator is left where one whole-batch fill leaves it
+        assert rng.standard_normal() == reference.standard_normal(), n
+
+
+class _CountedFills:
+    """A generator that counts its fills of an ``out`` array; the second raises ``error``, if given."""
+
+    def __init__(self, rng, error=None):
+        self.rng, self.error, self.fills = rng, error, 0
+
+    def standard_normal(self, size=None, out=None):
+        if out is not None:
+            self.fills += 1
+            if self.fills == 2 and self.error is not None:
+                raise self.error
+        return self.rng.standard_normal(size=size, out=out)
+
+
+def _proposal(fam, which):
+    if which == "M2":
+        return -1.0, lambda rng, out: fkm._eigenspace_draws(fam, rng, out)
+    theta = fkm.level_angle(1.0 if which == "M1" else 0.2)
+    return (1.0 if which == "M1" else 0.2), lambda rng, out: fkm._transported_draws(fam, rng, out, theta)
+
+
+@pytest.mark.parametrize("which", ["level", "M1", "M2"])
+def test_a_failing_block_fill_raises_in_the_sampler(block_families, which):
+    fam = block_families[(4, 3)]
+    target, propose = _proposal(fam, which)
+    error = MemoryError("second block")
+    with pytest.raises(MemoryError) as raised:
+        fkm._sample(fam, _several_blocks(fam), 61, 1e-10, which, target,
+                    lambda rng, out: propose(_CountedFills(rng, error), out))
+    assert raised.value is error
+    assert not _draw_threads()
+
+
+@pytest.mark.parametrize("which", ["level", "M1", "M2"])
+def test_an_early_exit_from_the_block_loop_joins_the_thread(block_families, which, monkeypatch):
+    # 100 blocks take tens of ms to draw: a thread that were not stopped would
+    # fill them all, and one that were not joined would still be filling
+    fam = block_families[(4, 3)]
+    target, propose = _proposal(fam, which)
+    blocks = 100
+    counted = []
+
+    def fails(x, tmp):
+        raise ArithmeticError("first block")
+
+    def counted_propose(rng, out):
+        counted.append(_CountedFills(rng))
+        return propose(counted[-1], out)
+
+    monkeypatch.setattr(fkm, "_row_norms", fails)
+    with pytest.raises(ArithmeticError, match="first block"):
+        fkm._sample(fam, blocks * (fkm._BLOCK_ELEMENTS // fam.ambient_dim), 62, 1e-10, which, target,
+                    counted_propose)
+    assert not _draw_threads()
+    assert 1 <= counted[0].fills < blocks
+
+
+def test_clouds_do_not_depend_on_thread_scheduling(block_families):
+    # six samplers at once, each with its own draw thread, under a switch interval
+    # 5000x shorter than the default: every cloud is the one drawn alone
+    fam = block_families[(8, 7)]
+    count = 3 * (fkm._BLOCK_ELEMENTS // fam.ambient_dim) + 5
+    calls = [lambda seed=seed: fkm.sample_level_set(fam, 0.2, count, seed) for seed in (63, 64)]
+    calls += [lambda seed=seed: fkm.sample_focal_M1(fam, count, seed) for seed in (63, 64)]
+    calls += [lambda seed=seed: fkm.sample_focal_M2(fam, count, seed) for seed in (63, 64)]
+    alone = [call().points for call in calls]
+    together = [None] * len(calls)
+
+    def run(i):
+        together[i] = calls[i]().points
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(len(calls))]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert all(np.array_equal(a, b) for a, b in zip(alone, together))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=50)
+@given(which=st.sampled_from(["level", "M1", "M2"]),
+       count=st.integers(0, 3 * (fkm._BLOCK_ELEMENTS // 16)),
+       seed=st.integers(-(2**8), 2**64),
+       tol=st.floats(1e-12, 1e-6),
+       t=st.floats(-0.999, 0.999, exclude_min=True, exclude_max=True))
+def test_samplers_return_a_cloud_on_the_level_or_a_typed_error(fam43, which, count, seed, tol, t):
+    sample = {"level": lambda: fkm.sample_level_set(fam43, t, count, seed, tol),
+              "M1": lambda: fkm.sample_focal_M1(fam43, count, seed, tol),
+              "M2": lambda: fkm.sample_focal_M2(fam43, count, seed, tol)}[which]
+    target = {"level": t, "M1": 1.0, "M2": -1.0}[which]
+    try:
+        cloud = sample()
+    except (ValueError, NearFocalError, SamplingError):
+        return
+    assert cloud.points.shape == (count, 16)
+    assert np.all(np.abs(np.linalg.norm(cloud.points, axis=-1) - 1.0) <= 1e-14)
+    assert np.all(np.abs(fkm.eval_F(fam43, cloud.points) - target) <= tol)
+    assert np.array_equal(sample().points, cloud.points)
 
 
 def test_sample_determinism(fam11):

@@ -29,7 +29,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .catalog import delta
+from .catalog import _integer, delta
 
 SCHEMA_VERSION = 1
 
@@ -247,7 +247,8 @@ class CliffordSystem:
                 if not (isinstance(trip, list) and len(trip) == 3):
                     raise ValueError(f"P_{i} has an entry that is no [row, column, value] triplet")
                 r, c, v = trip
-                if not (isinstance(r, int) and isinstance(c, int) and 0 <= r < n and 0 <= c < n):
+                # type(), not isinstance(): a JSON true or false is no index
+                if not (type(r) is int and type(c) is int and 0 <= r < n and 0 <= c < n):
                     raise ValueError(f"triplet index ({r}, {c}) is not an integer in [0, {n})")
                 if isinstance(v, bool) or not isinstance(v, int) or not low <= v <= high:
                     raise ValueError(f"triplet value {v!r} at ({r}, {c}) is not an int64 integer")
@@ -267,7 +268,9 @@ def build_system(m: int, k: int) -> CliffordSystem:
     P_0 = diag(I, -I) and P_1 = antidiag(I, I) exactly; the remaining P_{1+i}
     come from the skew generator blocks.  The associated multiplicity pair
     (m, l-m-1) may or may not be admissible; that is validated elsewhere.
+    ValueError for an m or k that is no int or is < 1.
     """
+    m, k = _integer("m", m), _integer("k", k)
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
     if k < 1:

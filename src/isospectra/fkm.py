@@ -35,9 +35,10 @@ Hess F = 4 r I + 8 x x^T - 8 sum_i (2 P_i x (P_i x)^T + q_i P_i), restricted
 to the tangent space of the level through the point, through the same pass.
 
 Sampling is deterministic given (seed): one seeded generator makes every draw.
-The standard normals of a batch are drawn one block ahead on a second thread,
-in block order, from that same generator, while the calling thread transforms
-the block before; consecutive fills give the stream of one whole-batch fill,
+The standard normals of a batch of several blocks are drawn one block ahead
+on a one-worker executor, in block order, from that same generator, while the
+calling thread transforms the block before; a one-block batch is drawn on the
+calling thread.  Consecutive fills give the stream of one whole-batch fill,
 so results do not depend on scheduling or thread counts.  Every kernel runs
 on the calling thread.  Each batch streams into the cloud's own array: a
 proposal draws straight into the unfilled tail, turns the draws into
@@ -65,7 +66,8 @@ import json
 import logging
 import math
 import numbers
-import threading
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -214,7 +216,7 @@ def _feature_blocks(x: np.ndarray, *widths: int, wait=None):
     P_i x is a gather of whole rows of it; and one uninitialized (w, n) array
     per width.  All are C-contiguous and allocated once per call.  ``wait``,
     if given, is called before each block is read and returns once the
-    block's rows of x are written (``_DrawAhead``).
+    block's rows of x are written (``_drawn_ahead``).
     """
     n, d = x.shape
     blocks = _block_slices(n, d)
@@ -231,48 +233,32 @@ def _feature_blocks(x: np.ndarray, *widths: int, wait=None):
         yield rows, signed, *buffers
 
 
-class _DrawAhead:
-    """Standard normals into the row blocks of 2-D x, in block order, on a second thread.
+@contextmanager
+def _drawn_ahead(rng, x: np.ndarray):
+    """Standard normals into the row blocks of 2-D x, in block order, one block ahead.
 
-    ``with _DrawAhead(rng, x) as wait:`` starts the thread; each ``wait()``
-    returns once the next block of ``_block_slices`` is filled, or re-raises
-    the exception of its fill.  The fills are consecutive calls on ``rng``, so
-    x receives exactly the stream of one ``rng.standard_normal(out=x)``; the
-    caller draws nothing from ``rng`` until the ``with`` ends.  Leaving the
-    ``with``, early or not, stops the thread after the block it is filling and
-    joins it.  numpy fills without the GIL, so block j+1 is drawn while the
-    caller transforms block j.
+    ``with _drawn_ahead(rng, x) as wait:`` yields a ``wait()`` that returns
+    once the next block of ``_block_slices`` is filled, or re-raises the
+    exception of its fill.  With two or more blocks the fills run on one
+    worker thread, so block j+1 is drawn (numpy fills without the GIL) while
+    the caller transforms block j; leaving the ``with``, early or not, cancels
+    the fills not yet started and joins the worker.  A batch of one block is
+    filled at once on the calling thread, where nothing could overlap.  The
+    fills are consecutive calls on ``rng``, so x receives exactly the stream
+    of one ``rng.standard_normal(out=x)``; the caller draws nothing from
+    ``rng`` until the ``with`` ends.
     """
-
-    def __init__(self, rng, x: np.ndarray):
-        self._filled = threading.Semaphore(0)
-        self._stop = False
-        self._error = None
-        self._thread = threading.Thread(target=self._fill, args=(rng, x), name="isospectra-draws")
-
-    def _fill(self, rng, x: np.ndarray) -> None:
-        try:
-            for rows in _block_slices(*x.shape):
-                if self._stop:
-                    return
-                rng.standard_normal(out=x[rows])
-                self._filled.release()
-        except BaseException as exc:  # handed to the caller by wait()
-            self._error = exc
-            self._filled.release()
-
-    def wait(self) -> None:
-        self._filled.acquire()
-        if self._error is not None:
-            raise self._error
-
-    def __enter__(self):
-        self._thread.start()
-        return self.wait
-
-    def __exit__(self, *exc_info) -> None:
-        self._stop = True
-        self._thread.join()
+    blocks = _block_slices(*x.shape)
+    if len(blocks) < 2:
+        rng.standard_normal(out=x)
+        yield lambda: None
+        return
+    pool = ThreadPoolExecutor(1, thread_name_prefix="isospectra-draws")
+    try:
+        fills = iter([pool.submit(rng.standard_normal, out=x[rows]) for rows in blocks])
+        yield lambda: next(fills).result()
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 def _block_forms(family: FKMFamily, signed: np.ndarray, q: np.ndarray, grad: np.ndarray,
@@ -532,16 +518,16 @@ def _sample(family: FKMFamily, count, seed: int, tol, level, target: float, prop
 def _transported_draws(family: FKMFamily, rng, out: np.ndarray, theta: float) -> int:
     """Uniform sphere points moved along their normal geodesic to level cos(4 theta).
 
-    Draws ``len(out)`` standard normal rows into ``out``, one block ahead on a
-    second thread (``_DrawAhead``), and turns them, in place and one
-    feature-major block at a time, into the unit rows of their transported
-    points; returns how many it kept at the front of ``out``.  Draws within
-    1e-8 of a focal value, where the normal is undefined, are dropped.  The
-    block buffers, forms included, are allocated once per call.
+    Draws ``len(out)`` standard normal rows into ``out``, one block ahead
+    (``_drawn_ahead``), and turns them, in place and one feature-major block
+    at a time, into the unit rows of their transported points; returns how
+    many it kept at the front of ``out``.  Draws within 1e-8 of a focal value,
+    where the normal is undefined, are dropped.  The block buffers, forms
+    included, are allocated once per call.
     """
     d, k = out.shape[1], len(family._gathers)
     keep = np.empty(len(out), dtype=bool)
-    with _DrawAhead(rng, out) as drawn:
+    with _drawn_ahead(rng, out) as drawn:
         for rows, signed, q, xi, px, tmp in _feature_blocks(out, k, d, d, d, wait=drawn):
             x = signed[:d]
             signed /= _row_norms(x, tmp)  # both halves: -x / |x| is -(x / |x|)
@@ -618,15 +604,15 @@ def _eigenspace_draws(family: FKMFamily, rng, out: np.ndarray) -> int:
 
     Per row, a unit c is drawn in R^{m+1}, all rows' c first on the calling
     thread, then y standard normal, straight into ``out`` and one block ahead
-    on a second thread (``_DrawAhead``); y + sum_i c_i P_i y, normalized, is
-    the candidate.  Each feature-major block takes the products c_i (P_i y)
-    in the order i = 0..m onto a zero sum, which is then added to y.  Rows
-    whose norm is <= 1e-6 are dropped.
+    (``_drawn_ahead``); y + sum_i c_i P_i y, normalized, is the candidate.
+    Each feature-major block takes the products c_i (P_i y) in the order
+    i = 0..m onto a zero sum, which is then added to y.  Rows whose norm is
+    <= 1e-6 are dropped.
     """
     c = rng.standard_normal((len(out), len(family._gathers)))
     d, k = out.shape[1], c.shape[1]
     keep = np.empty(len(out), dtype=bool)
-    with _DrawAhead(rng, out) as drawn:
+    with _drawn_ahead(rng, out) as drawn:
         for rows, signed, ct, term, acc in _feature_blocks(out, k, d, d, wait=drawn):
             ct[...] = c[rows].T
             ct /= _row_norms(ct, term[:k])

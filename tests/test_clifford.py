@@ -1,3 +1,4 @@
+import itertools
 import json
 import tracemalloc
 
@@ -252,6 +253,14 @@ def test_from_json_rejects_bad_input():
         trips = [data["matrices"][0] + [bad], *data["matrices"][1:]]
         with pytest.raises(ValueError, match="not an integer in"):
             CliffordSystem.from_json(json.dumps({**data, "matrices": trips}))
+    # JSON true and false would be read as the indices 1 and 0, so each of these
+    # edits of the (1, 1) text, such as [true, 1, -1], would still verify
+    doc = json.loads(build_system(1, 1).to_json())
+    for i, j, at in itertools.product(range(2), range(2), range(2)):
+        mats = json.loads(json.dumps(doc["matrices"]))
+        mats[i][j][at] = bool(mats[i][j][at])
+        with pytest.raises(ValueError, match="not an integer in"):
+            CliffordSystem.from_json(json.dumps({**doc, "matrices": mats}))
     # a non-integer value would be truncated or parsed, and the system could then verify
     first, *rest = data["matrices"][0]
     for value in (1.5, "1", True, None, 2**63, -(2**63) - 1, 2**70):
@@ -458,3 +467,38 @@ def test_build_system_domain_errors():
         build_system(0, 1)
     with pytest.raises(ValueError):
         build_system(2, 0)
+
+
+@pytest.mark.parametrize("m, k", [(4, 2.0), (4.0, 2), (4, True), ("4", 2), (True, 2), (4, None)])
+def test_build_system_refuses_non_integers(m, k):
+    for build in (build_system, fkm.FKMFamily.from_representation):
+        with pytest.raises(ValueError, match="must be an int"):
+            build(m, k)
+
+
+def test_build_system_stores_numpy_integers_as_ints():
+    system = build_system(np.int64(4), np.int32(2))
+    assert type(system.m) is int and type(system.l) is int
+    reference = build_system(4, 2)
+    assert np.array_equal(system.perm, reference.perm) and np.array_equal(system.sign, reference.sign)
+
+
+@settings(PROPERTY, max_examples=40)
+@given(m=st.integers(1, 17), k=st.integers(1, 2))
+def test_every_built_system_verifies_round_trips_and_gathers(m, k):
+    system = build_system(m, k)
+    report = verify_system(system)
+    assert report.passed and report.checks == (m + 1) * (m + 4) // 2, report.first_violation
+    back = CliffordSystem.from_json(system.to_json())
+    assert (back.m, back.l) == (system.m, system.l)
+    assert np.array_equal(back.perm, system.perm) and np.array_equal(back.sign, system.sign)
+    d = system.ambient_dim
+    if system.l - m - 1 >= 1 and d <= 128:
+        # the family's index of each P_i into [x | -x] gives P_i x; distinct
+        # nonzero coordinates expose any wrong column or sign
+        x = np.arange(1.0, d + 1.0)
+        signed = np.concatenate([x, -x])
+        gathers = fkm.FKMFamily.from_representation(m, k)._gathers
+        assert len(gathers) == m + 1
+        for index, p in zip(gathers, system.matrices):
+            assert np.array_equal(signed[index], p @ x)

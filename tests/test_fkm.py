@@ -759,7 +759,7 @@ def test_sampler_counters_record_drops_and_rejections(block_families, which, mon
 
 
 def _draw_threads():
-    return [thread for thread in threading.enumerate() if thread.name == "isospectra-draws"]
+    return [thread for thread in threading.enumerate() if thread.name.startswith("isospectra-draws")]
 
 
 @pytest.mark.parametrize("d", [6, 16, 256])
@@ -768,7 +768,7 @@ def test_draw_ahead_fills_the_stream_of_one_whole_batch_fill(d):
     for n in (0, 1, block - 1, block, 3 * block + 5):
         x = np.full((n, d), np.nan)
         rng = np.random.default_rng(60 + n)
-        with fkm._DrawAhead(rng, x) as wait:
+        with fkm._drawn_ahead(rng, x) as wait:
             for _ in fkm._block_slices(n, d):
                 wait()
         reference = np.random.default_rng(60 + n)
@@ -832,6 +832,29 @@ def test_an_early_exit_from_the_block_loop_joins_the_thread(block_families, whic
                     counted_propose)
     assert not _draw_threads()
     assert 1 <= counted[0].fills < blocks
+
+
+@pytest.mark.parametrize("which", ["level", "M1", "M2"])
+def test_only_a_batch_of_several_blocks_starts_an_executor(block_families, which, monkeypatch):
+    # a one-block batch, refills included, has nothing to overlap and is drawn
+    # on the calling thread; a batch of several blocks makes one executor
+    fam = block_families[(4, 3)]
+    sample = {"level": lambda count: fkm.sample_level_set(fam, 0.2, count, 65),
+              "M1": lambda count: fkm.sample_focal_M1(fam, count, 65),
+              "M2": lambda count: fkm.sample_focal_M2(fam, count, 65)}[which]
+    made = []
+    executor = fkm.ThreadPoolExecutor
+
+    def recorded(*args, **kwargs):
+        made.append(args)
+        return executor(*args, **kwargs)
+
+    monkeypatch.setattr(fkm, "ThreadPoolExecutor", recorded)
+    sample(10)
+    assert not made
+    sample(_several_blocks(fam))
+    assert made == [(1,)]
+    assert not _draw_threads()
 
 
 def test_clouds_do_not_depend_on_thread_scheduling(block_families):

@@ -17,7 +17,8 @@ All matrices are signed permutations, stored only as (perm, sign) index arrays
 with (P_i x)_r = sign_r x_{perm_r}.  ``build_system`` composes them (a Kronecker
 product is index arithmetic) and ``verify_system`` checks every identity on
 them: integer arithmetic, O(m^2 d), no dense matrix and no floating point.
-Dense int64 matrices exist only through ``matrices`` and ``from_matrices``.
+Dense int64 matrices exist only through ``matrices`` and ``from_matrices``;
+the JSON text (schema 2) holds the two arrays as lists.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ import numpy as np
 
 from .catalog import _integer, delta
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 
 # -- normed-algebra structure tables ------------------------------------------
@@ -187,6 +188,16 @@ class CliffordSystem:
             a.setflags(write=False)
             object.__setattr__(self, name, a)
 
+    def __eq__(self, other):
+        if not isinstance(other, CliffordSystem):
+            return NotImplemented
+        return ((self.m, self.l) == (other.m, other.l)
+                and np.array_equal(self.perm, other.perm) and np.array_equal(self.sign, other.sign))
+
+    def __hash__(self):
+        # the arrays are read-only, so the hash cannot go stale
+        return hash((self.m, self.l, self.perm.tobytes(), self.sign.tobytes()))
+
     @property
     def ambient_dim(self) -> int:
         return 2 * self.l
@@ -217,14 +228,13 @@ class CliffordSystem:
         return CliffordSystem(m, l, np.reshape(perms, (len(perms), n)), np.reshape(signs, (len(signs), n)))
 
     def to_json(self) -> str:
-        """One triplet [r, perm[r], sign[r]] per row of each P_i: its nonzero entries."""
-        rows = range(self.ambient_dim)
-        triplets = [list(zip(rows, perm.tolist(), sign.tolist())) for perm, sign in zip(self.perm, self.sign)]
-        return json.dumps({"schema_version": SCHEMA_VERSION, "m": self.m, "l": self.l, "matrices": triplets})
+        """Schema 2: ``m``, ``l`` and the stored ``perm`` and ``sign``, one list of 2l ints per P_i."""
+        return json.dumps({"schema_version": SCHEMA_VERSION, "m": self.m, "l": self.l,
+                           "perm": self.perm.tolist(), "sign": self.sign.tolist()})
 
     @staticmethod
     def from_json(text: str) -> "CliffordSystem":
-        """Parse ``to_json``'s text; raises ValueError on anything that is not a system of signed permutations."""
+        """Parse schema 2; ValueError for a document of another shape or a P_i that is no signed permutation."""
         data = json.loads(text)
         if not isinstance(data, dict):
             raise ValueError(f"Clifford JSON must be an object, got {type(data).__name__}")
@@ -234,32 +244,19 @@ class CliffordSystem:
             value = data.get(key)
             if isinstance(value, bool) or not isinstance(value, int) or value < 1:
                 raise ValueError(f"Clifford JSON {key} must be an int >= 1, got {value!r}")
-        matrices = data.get("matrices")
-        if not isinstance(matrices, list):
-            raise ValueError(f"Clifford JSON matrices must be a list, got {type(matrices).__name__}")
         n = 2 * data["l"]
-        low, high = int(np.iinfo(np.int64).min), int(np.iinfo(np.int64).max)
-        forms = []
-        for i, trips in enumerate(matrices):
-            if not isinstance(trips, list):
-                raise ValueError(f"P_{i} must be a list of [row, column, value] triplets")
-            for trip in trips:
-                if not (isinstance(trip, list) and len(trip) == 3):
-                    raise ValueError(f"P_{i} has an entry that is no [row, column, value] triplet")
-                r, c, v = trip
-                # type(), not isinstance(): a JSON true or false is no index
-                if not (type(r) is int and type(c) is int and 0 <= r < n and 0 <= c < n):
-                    raise ValueError(f"triplet index ({r}, {c}) is not an integer in [0, {n})")
-                if isinstance(v, bool) or not isinstance(v, int) or not low <= v <= high:
-                    raise ValueError(f"triplet value {v!r} at ({r}, {c}) is not an int64 integer")
-            if len(trips) != n:
-                raise ValueError(f"P_{i} is not a signed permutation")
-            # a row given twice leaves another row missing, at sign 0
-            rows, cols, vals = np.fromiter(itertools.chain.from_iterable(trips), np.int64, 3 * n).reshape(n, 3).T
-            forms.append(np.zeros((2, n), dtype=np.int64))
-            forms[-1][:, rows] = cols, vals
-        forms = np.reshape(forms, (len(forms), 2, n))
-        return CliffordSystem(data["m"], data["l"], forms[:, 0], forms[:, 1])
+        perm, sign = data.get("perm"), data.get("sign")
+        if not (isinstance(perm, list) and isinstance(sign, list) and len(perm) == len(sign)):
+            raise ValueError("Clifford JSON perm and sign must be lists of equal length")
+        # type(), not isinstance(): numpy would read a JSON true or false as 1 or 0
+        if not (all(isinstance(row, list) and len(row) == n for row in perm + sign)
+                and set(map(type, itertools.chain(*perm, *sign))) <= {int}):
+            raise ValueError(f"each row of Clifford JSON perm and sign must be a list of {n} ints")
+        try:
+            perm, sign = (np.array(a, dtype=np.int64).reshape(len(a), n) for a in (perm, sign))
+        except OverflowError:
+            raise ValueError("Clifford JSON perm and sign must hold only int64 integers") from None
+        return CliffordSystem(data["m"], data["l"], perm, sign)
 
 
 def build_system(m: int, k: int) -> CliffordSystem:

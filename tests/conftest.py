@@ -1,6 +1,11 @@
 import threading
 
 import pytest
+from hypothesis import settings
+
+# reproducible: the same examples on every run, and no example database
+settings.register_profile("reproducible", derandomize=True, database=None, deadline=None)
+settings.load_profile("reproducible")
 
 
 @pytest.fixture(autouse=True)

@@ -4,10 +4,12 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from isospectra import certificates as certs
 from isospectra import exact
-from isospectra.catalog import MultiplicityPair, admissible_pairs, pair_g4
+from isospectra.catalog import MultiplicityPair, admissible_pairs, delta, pair_g4
 from isospectra.errors import DivergenceError, UnsupportedCaseError
 from isospectra.exact import PiRational, Surd, beta_half, gamma_half, sign_of_terms
 
@@ -564,6 +566,29 @@ def test_focal_solomon_upper_attached():
     assert cert.solomon_upper == 4
     cert = certs.certify_focal(pair_g4(2, 1), "M1")  # M1 of (2,1) == M2 of (1,2)
     assert cert.solomon_upper == 4
+
+
+@st.composite
+def _admissible_pairs_to_1e7(draw):
+    """Either orientation of (m, k delta(m) - m - 1) with min >= 2 and sum <= 10^7, or (2,2) or (4,5)."""
+    if draw(st.integers(0, 9)) == 0:
+        return pair_g4(*draw(st.sampled_from([(2, 2), (4, 5)])))
+    m = draw(st.integers(2, 48))  # delta(49) = 2^24 already exceeds 10^7 + 1
+    d = delta(m)
+    k = draw(st.integers(-(-(m + 3) // d), (10**7 + 1) // d))  # m2 >= 2 and m + m2 <= 10^7
+    pair = m, k * d - m - 1
+    return pair_g4(*(pair if draw(st.booleans()) else pair[::-1]))
+
+
+@settings(max_examples=100)
+@given(_admissible_pairs_to_1e7())
+def test_every_admissible_pair_passes_and_its_focal_cover_is_exact(pair):
+    cert = certs.certify_hypersurface(pair)
+    assert cert.status == "pass" and cert.verdicts == cert.exact_verdicts
+    for which, m_this, m_other in (("M1", pair.m1, pair.m2), ("M2", pair.m2, pair.m1)):
+        focal = certs.certify_focal(pair, which)
+        assert focal.equivalence_check
+        assert (focal.status == "covered") == (2 * m_other >= m_this + 3)
 
 
 # -- Solomon comparison ----------------------------------------------------------------------

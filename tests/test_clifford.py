@@ -60,12 +60,14 @@ def _reference_build(m: int, k: int) -> list[np.ndarray]:
 
 
 def _dense_to_json(m: int, l: int, mats) -> str:
-    """Clifford JSON written from dense matrices: every nonzero entry, row by row."""
-    triplets = []
+    """Clifford JSON written from dense matrices: the column and value of each row's one nonzero entry."""
+    perm, sign = [], []
     for p in mats:
         rows, cols = np.nonzero(p)
-        triplets.append([[int(r), int(c), int(p[r, c])] for r, c in zip(rows, cols)])
-    return json.dumps({"schema_version": 1, "m": m, "l": l, "matrices": triplets})
+        assert np.array_equal(rows, np.arange(len(p)))
+        perm.append(cols.tolist())
+        sign.append(p[rows, cols].tolist())
+    return json.dumps({"schema_version": 2, "m": m, "l": l, "perm": perm, "sign": sign})
 
 
 def _valid_small_params():
@@ -103,9 +105,7 @@ def test_large_systems_without_dense_matrices():
         d = system.ambient_dim
         assert d == 2 * delta(m) and report.passed and report.checks == (m + 1) * (m + 4) // 2, m
         assert peak < 12 * (m + 1) * d * 8, (m, peak)
-        if m <= 21:
-            back = CliffordSystem.from_json(system.to_json())
-            assert np.array_equal(back.perm, system.perm) and np.array_equal(back.sign, system.sign)
+        assert CliffordSystem.from_json(system.to_json()) == system, m
         if m == 19:
             cloud = fkm.sample_focal_M2(family, 50, 19)
             f = fkm.eval_F(family, cloud.points)
@@ -244,29 +244,42 @@ def test_json_round_trip():
         assert np.array_equal(p, q)
 
 
+def test_systems_compare_and_hash_by_value():
+    system, same, other = build_system(4, 2), build_system(4, 2), build_system(4, 1)
+    assert system == same and not system != same and hash(system) == hash(same)
+    assert system != other and other != system and system != 3
+    # the same arrays under another m, and the same m and l with every sign flipped
+    assert system != CliffordSystem(5, system.l, system.perm, system.sign)
+    assert system != CliffordSystem(system.m, system.l, system.perm, -system.sign)
+    assert {system, same, other} == {system, other} and same in {system}
+    assert CliffordSystem.from_json(system.to_json()) == system
+    family = fkm.FKMFamily.from_pair(4, 3)
+    assert family == fkm.FKMFamily.from_pair(4, 3) and hash(family) == hash(fkm.FKMFamily.from_pair(4, 3))
+    assert family != fkm.FKMFamily.from_pair(3, 4)
+
+
+def test_from_json_refuses_schema_1():
+    # version 1 wrote one [row, column, value] triplet per nonzero entry
+    system = build_system(2, 1)
+    rows = range(system.ambient_dim)
+    triplets = [list(zip(rows, perm.tolist(), sign.tolist())) for perm, sign in zip(system.perm, system.sign)]
+    text = json.dumps({"schema_version": 1, "m": system.m, "l": system.l, "matrices": triplets})
+    with pytest.raises(ValueError, match="schema_version must be 2"):
+        CliffordSystem.from_json(text)
+
+
+def _edited(doc: dict, key: str, i: int, j: int, value) -> str:
+    """The text of ``doc`` with entry j of row i of ``perm`` or ``sign`` set to ``value``."""
+    rows = json.loads(json.dumps(doc[key]))
+    rows[i][j] = value
+    return json.dumps({**doc, key: rows})
+
+
 def test_from_json_rejects_bad_input():
     data = json.loads(build_system(2, 1).to_json())
-    for version in (99, None):
+    for version in (99, 1, None):
         with pytest.raises(ValueError, match="schema_version"):
             CliffordSystem.from_json(json.dumps({**data, "schema_version": version}))
-    for bad in ([-4, 0, 1], [0, -1, 1], [4, 0, 1], [0, 99, 1], [1.5, 0, 1]):
-        trips = [data["matrices"][0] + [bad], *data["matrices"][1:]]
-        with pytest.raises(ValueError, match="not an integer in"):
-            CliffordSystem.from_json(json.dumps({**data, "matrices": trips}))
-    # JSON true and false would be read as the indices 1 and 0, so each of these
-    # edits of the (1, 1) text, such as [true, 1, -1], would still verify
-    doc = json.loads(build_system(1, 1).to_json())
-    for i, j, at in itertools.product(range(2), range(2), range(2)):
-        mats = json.loads(json.dumps(doc["matrices"]))
-        mats[i][j][at] = bool(mats[i][j][at])
-        with pytest.raises(ValueError, match="not an integer in"):
-            CliffordSystem.from_json(json.dumps({**doc, "matrices": mats}))
-    # a non-integer value would be truncated or parsed, and the system could then verify
-    first, *rest = data["matrices"][0]
-    for value in (1.5, "1", True, None, 2**63, -(2**63) - 1, 2**70):
-        trips = [[[*first[:2], value], *rest], *data["matrices"][1:]]
-        with pytest.raises(ValueError, match="triplet value"):
-            CliffordSystem.from_json(json.dumps({**data, "matrices": trips}))
     # m and l must be ints >= 1: a bool, float, string, null or missing key is refused
     for key in ("m", "l"):
         for value in (0, -1, 1.5, "2", True, None):
@@ -274,43 +287,49 @@ def test_from_json_rejects_bad_input():
                 CliffordSystem.from_json(json.dumps({**data, key: value}))
         with pytest.raises(ValueError, match=f"{key} must be an int >= 1"):
             CliffordSystem.from_json(json.dumps({k: v for k, v in data.items() if k != key}))
-    # an int64 value other than +-1, a row given twice or missing, or a column used twice
-    # makes no signed permutation
-    first_mat, second = data["matrices"][:2]
-    bad_second = [[[*second[0][:2], value], *second[1:]] for value in (2**63 - 1, -(2**63), 0, 2, -2)]
-    bad_second.append([second[0], second[0], *second[2:]])  # row 0 twice, row 1 missing
-    bad_second.append(second[1:])  # row 0 missing
-    bad_second.append([*second[:-1], [second[-1][0], second[0][1], 1]])  # a column used twice
-    for trips in bad_second:
-        mats = [data["matrices"][0], trips, *data["matrices"][2:]]
-        with pytest.raises(ValueError, match="^P_1 is not a signed permutation$"):
-            CliffordSystem.from_json(json.dumps({**data, "matrices": mats}))
-    # a document of the wrong shape: not an object, no list of matrices, a matrix
-    # that is no list, or an entry that is no triplet
+    # a document of the wrong shape: not an object, perm and sign missing, no lists,
+    # or lists of different lengths
     for doc in ([data], 3, 2.5, "text", None):
         with pytest.raises(ValueError, match="must be an object"):
             CliffordSystem.from_json(json.dumps(doc))
-    for mats in (None, 3, "text", {"0": []}):
-        with pytest.raises(ValueError, match="matrices must be a list"):
-            CliffordSystem.from_json(json.dumps({**data, "matrices": mats}))
-    with pytest.raises(ValueError, match="matrices must be a list"):
-        CliffordSystem.from_json(json.dumps({k: v for k, v in data.items() if k != "matrices"}))
-    for matrix in (3, None, "abc"):
-        with pytest.raises(ValueError, match="^P_1 must be a list of"):
-            CliffordSystem.from_json(json.dumps({**data, "matrices": [first_mat, matrix]}))
-    for trip in (3, None, "abc", [0, 0], [0, 0, 1, 1], []):
-        with pytest.raises(ValueError, match="^P_1 has an entry that is no"):
-            CliffordSystem.from_json(json.dumps({**data, "matrices": [first_mat, [*second[:-1], trip]]}))
+    for key in ("perm", "sign"):
+        for value in (None, 3, "text", {"0": []}, data[key][:2]):
+            with pytest.raises(ValueError, match="lists of equal length"):
+                CliffordSystem.from_json(json.dumps({**data, key: value}))
+        with pytest.raises(ValueError, match="lists of equal length"):
+            CliffordSystem.from_json(json.dumps({k: v for k, v in data.items() if k != key}))
+        # a row that is no list of 2l ints: another length, or another type
+        for row in (3, None, "abcd", {"0": 1}, [], data[key][1][:-1], [*data[key][1], 0]):
+            rows = [data[key][0], row, data[key][2]]
+            with pytest.raises(ValueError, match="must be a list of 4 ints"):
+                CliffordSystem.from_json(json.dumps({**data, key: rows}))
+        # an entry that is no int: numpy would truncate a float, parse a string and
+        # read true or false as 1 or 0, and the system could then verify
+        for value in (1.5, 1.0, "1", None, [1], True, False):
+            with pytest.raises(ValueError, match="must be a list of 4 ints"):
+                CliffordSystem.from_json(_edited(data, key, 1, 0, value))
+        for value in (2**63, -(2**63) - 1, 2**70):
+            with pytest.raises(ValueError, match="only int64 integers"):
+                CliffordSystem.from_json(_edited(data, key, 1, 0, value))
+    # each entry of the (1, 1) text as a bool: numpy would read a perm row [false, true] as [0, 1]
+    doc = json.loads(build_system(1, 1).to_json())
+    for key, i, j in itertools.product(("perm", "sign"), range(2), range(2)):
+        with pytest.raises(ValueError, match="must be a list of 2 ints"):
+            CliffordSystem.from_json(_edited(doc, key, i, j, bool(doc[key][i][j])))
+    # an int64 sign other than +-1, a column out of range or a column used twice
+    # makes no signed permutation, and construction names the matrix
+    bad = [("sign", value) for value in (2**63 - 1, -(2**63), 0, 2, -2)]
+    bad += [("perm", value) for value in (-1, 4, 99, 2**63 - 1, -(2**63), data["perm"][1][1])]
+    for key, value in bad:
+        with pytest.raises(ValueError, match="^P_1 is not a signed permutation$"):
+            CliffordSystem.from_json(_edited(data, key, 1, 0, value))
     # a count other than m + 1 is read, and verify_system reports it
-    short = CliffordSystem.from_json(json.dumps({**data, "matrices": [first_mat]}))
+    short = CliffordSystem.from_json(json.dumps({**data, "perm": data["perm"][:1], "sign": data["sign"][:1]}))
     assert verify_system(short).failures == ("expected m + 1 = 3 matrices, got 1",)
     # so is a document without matrices, whose l then sizes nothing
-    empty = CliffordSystem.from_json(json.dumps({**data, "l": 10**12, "matrices": []}))
+    empty = CliffordSystem.from_json(json.dumps({**data, "l": 10**12, "perm": [], "sign": []}))
     assert empty.perm.shape == empty.sign.shape == (0, 2 * 10**12)
 
-
-# reproducible: the same examples on every run, and no example database
-PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=100)
 
 _JSON = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
@@ -318,13 +337,14 @@ _JSON = st.recursive(
     max_leaves=12,
 )
 _SMALL = st.integers(-2, 9) | _JSON
+_ROWS = st.lists(st.lists(_SMALL, max_size=4) | _SMALL, max_size=4) | _JSON
 # documents with the right keys, filled with near-valid and arbitrary values
 _DOCUMENTS = st.fixed_dictionaries({
-    "schema_version": st.sampled_from([1, 2, 1.0, True, None, "1"]),
+    "schema_version": st.sampled_from([1, 2, 2.0, True, None, "2"]),
     "m": _SMALL,
     "l": _SMALL,
-    "matrices": st.lists(st.lists(st.lists(_SMALL, max_size=4) | _SMALL, max_size=6) | _SMALL, max_size=4)
-    | _JSON,
+    "perm": _ROWS,
+    "sign": _ROWS,
 })
 _VALID_TEXT = build_system(2, 1).to_json()
 # (where, how many characters to remove, what to put there): a deletion, insertion or replacement
@@ -342,18 +362,16 @@ def _read_or_refuse(text: str):
     except ValueError:
         return
     again = CliffordSystem.from_json(system.to_json())
-    assert (again.m, again.l) == (system.m, system.l)
-    assert np.array_equal(again.perm, system.perm) and np.array_equal(again.sign, system.sign)
-    assert again.to_json() == system.to_json()
+    assert again == system and again.to_json() == system.to_json()
 
 
-@PROPERTY
+@settings(max_examples=100)
 @given(st.one_of(_JSON, _DOCUMENTS))
 def test_from_json_reads_or_refuses_any_json_value(value):
     _read_or_refuse(json.dumps(value))
 
 
-@PROPERTY
+@settings(max_examples=100)
 @given(_EDITS)
 def test_from_json_reads_or_refuses_any_single_edit(edit):
     at, removed, text = edit
@@ -479,19 +497,16 @@ def test_build_system_refuses_non_integers(m, k):
 def test_build_system_stores_numpy_integers_as_ints():
     system = build_system(np.int64(4), np.int32(2))
     assert type(system.m) is int and type(system.l) is int
-    reference = build_system(4, 2)
-    assert np.array_equal(system.perm, reference.perm) and np.array_equal(system.sign, reference.sign)
+    assert system == build_system(4, 2)
 
 
-@settings(PROPERTY, max_examples=40)
+@settings(max_examples=40)
 @given(m=st.integers(1, 17), k=st.integers(1, 2))
 def test_every_built_system_verifies_round_trips_and_gathers(m, k):
     system = build_system(m, k)
     report = verify_system(system)
     assert report.passed and report.checks == (m + 1) * (m + 4) // 2, report.first_violation
-    back = CliffordSystem.from_json(system.to_json())
-    assert (back.m, back.l) == (system.m, system.l)
-    assert np.array_equal(back.perm, system.perm) and np.array_equal(back.sign, system.sign)
+    assert CliffordSystem.from_json(system.to_json()) == system
     d = system.ambient_dim
     if system.l - m - 1 >= 1 and d <= 128:
         # the family's index of each P_i into [x | -x] gives P_i x; distinct

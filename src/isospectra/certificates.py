@@ -44,7 +44,7 @@ from __future__ import annotations
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from io import StringIO
 
@@ -256,6 +256,10 @@ class IntegralValue:
         scale = max(abs(self.value), abs(self.quadrature), 1e-300)
         return abs(self.value - self.quadrature) / scale
 
+    def to_dict(self) -> dict:
+        return {"value": self.value, "error_bound": self.error_bound,
+                "quadrature": self.quadrature, "dual_agreement": self.dual_agreement}
+
 
 def integral_G(pair: MultiplicityPair) -> IntegralValue:
     """G = int_0^{pi/2} sin^m1 x cos^m2 x dx, closed form B((m1+1)/2,(m2+1)/2)/2."""
@@ -269,28 +273,23 @@ def _sin2_theta_alpha(pair: MultiplicityPair, alpha: int) -> float:
     """sin^2(theta_alpha) at the minimal angle, alpha in 1..4.
 
     cos(2 theta_1) = sqrt(m2/s) and sin(2 theta_1) = sqrt(m1/s) give
-    sin^2(theta_alpha) = (1 -+ sqrt(m_i/s))/2 depending on alpha; the two
-    differences are evaluated as m_i / (2 (s + sqrt(m_j s))), free of
-    cancellation however large s gets.
+    sin^2(theta_1) = (1 - sqrt(m2/s))/2 and sin^2(theta_2) = (1 + sqrt(m1/s))/2;
+    the first is evaluated as m1 / (2 (s + sqrt(m2 s))), free of cancellation
+    however large s gets.  alpha = 3, 4 are alpha = 2, 1 with m1 <-> m2.
     """
-    m1, m2 = pair.m1, pair.m2
+    if alpha not in (1, 2, 3, 4):
+        raise ValueError(f"alpha must be in 1..4, got {alpha}")
+    m1, m2 = (pair.m1, pair.m2) if alpha < 3 else (pair.m2, pair.m1)
     s = m1 + m2
-    if alpha == 1:
+    if alpha in (1, 4):
         return m1 / (2 * (s + math.sqrt(m2 * s)))
-    if alpha == 2:
-        return (1 + math.sqrt(m1 / s)) / 2
-    if alpha == 3:
-        return (1 + math.sqrt(m2 / s)) / 2
-    if alpha == 4:
-        return m2 / (2 * (s + math.sqrt(m1 * s)))
-    raise ValueError(f"alpha must be in 1..4, got {alpha}")
+    return (1 + math.sqrt(m1 / s)) / 2
 
 
 def _k_end(m_in: int, m_out: int, sin2: float) -> tuple[float, float]:
-    """Closed form of the alpha in {1, 4} integrals, with its error bound.
+    """Closed form of K_1 with (m_in, m_out) = (m1, m2), or of K_4 with (m2, m1), and its bound.
 
-    sin^2(theta) * [B((a-1)/2, (b+1)/2) + B((a-1)/2, (b+2)/2)] / 2 with
-    (a, b) = (m1, m2) for alpha = 1 and (m2, m1) for alpha = 4.
+    sin^2(theta) * [B((m_in-1)/2, (m_out+1)/2) + B((m_in-1)/2, (m_out+2)/2)] / 2.
     """
     b1, r1 = _beta((m_in - 1) / 2, (m_out + 1) / 2)
     b2, r2 = _beta((m_in - 1) / 2, (m_out + 2) / 2)
@@ -307,29 +306,23 @@ def integral_K(pair: MultiplicityPair, alpha: int) -> IntegralValue:
     m1 = 1 (resp. m2 = 1) diverges.
     """
     m1, m2 = pair.m1, pair.m2
-    if alpha not in (1, 2, 3, 4):
-        raise ValueError(f"alpha must be in 1..4, got {alpha}")
-    if alpha == 1 and m1 < 2:
-        raise DivergenceError("K_1 diverges for m1 = 1 (endpoint pole of order >= 1)")
-    if alpha == 4 and m2 < 2:
-        raise DivergenceError("K_4 diverges for m2 = 1 (endpoint pole of order >= 1)")
     sin2 = _sin2_theta_alpha(pair, alpha)
-
-    if alpha == 1:
-        integrand = lambda x: 4.0 * np.cos(x) ** 2 * np.sin(2 * x) ** (m1 - 2) * np.cos(2 * x) ** m2
-    elif alpha == 4:
-        integrand = lambda x: 4.0 * np.cos(x) ** 2 * np.sin(2 * x) ** (m2 - 2) * np.cos(2 * x) ** m1
+    end = alpha in (1, 4)
+    if end:
+        m_in, m_out = (m1, m2) if alpha == 1 else (m2, m1)
+        if m_in < 2:
+            raise DivergenceError(
+                f"K_{alpha} diverges for m{1 if alpha == 1 else 2} = 1 (endpoint pole of order >= 1)"
+            )
+        integrand = lambda x: 4.0 * np.cos(x) ** 2 * np.sin(2 * x) ** (m_in - 2) * np.cos(2 * x) ** m_out
     else:
         shift = (alpha - 1) * math.pi / 4.0
         integrand = lambda x: np.sin(2 * x) ** m1 * np.cos(2 * x) ** m2 / np.sin(shift + x) ** 2
     qraw, qerr = quad(integrand, 0.0, math.pi / 4, **_QUAD_OPTS)
     qval = sin2 * qraw
     qerr = sin2 * qerr + abs(qval) * 1e-13
-
-    if alpha == 1:
-        return IntegralValue(*_k_end(m1, m2, sin2), qval, qerr)
-    if alpha == 4:
-        return IntegralValue(*_k_end(m2, m1, sin2), qval, qerr)
+    if end:
+        return IntegralValue(*_k_end(m_in, m_out, sin2), qval, qerr)
     return IntegralValue(qval, qerr, qval, qerr)
 
 
@@ -366,13 +359,8 @@ class HypersurfaceCertificate:
             "n": self.n,
             "theta1": self.theta1,
             "sin2_theta1": self.sin2_theta1,
-            "K": [
-                {"value": k.value, "error_bound": k.error_bound, "quadrature": k.quadrature,
-                 "dual_agreement": k.dual_agreement}
-                for k in self.K
-            ],
-            "G": {"value": self.G.value, "error_bound": self.G.error_bound,
-                  "quadrature": self.G.quadrature, "dual_agreement": self.G.dual_agreement},
+            "K": [k.to_dict() for k in self.K],
+            "G": self.G.to_dict(),
             "S": self.S.value,
             "A": self.A.value,
             "ratios": list(self.ratios),
@@ -490,21 +478,10 @@ class FocalCertificate:
     status: str  # covered | not-covered
 
     def to_dict(self) -> dict:
-        return {
-            "m1": self.pair.m1,
-            "m2": self.pair.m2,
-            "which": self.which,
-            "dim": self.dim,
-            "n": self.n,
-            "bound": [self.bound.numerator, self.bound.denominator],
-            "strict_inequality": self.strict_inequality,
-            "condition_met": self.condition_met,
-            "equivalence_check": self.equivalence_check,
-            "solomon_upper": self.solomon_upper,
-            "lambda1": self.lambda1,
-            "multiplicity": self.multiplicity,
-            "status": self.status,
-        }
+        fields = asdict(self)
+        del fields["pair"]
+        fields["bound"] = [self.bound.numerator, self.bound.denominator]
+        return {"m1": self.pair.m1, "m2": self.pair.m2, **fields}
 
 
 def certify_focal(pair: MultiplicityPair, which: str) -> FocalCertificate:
@@ -521,21 +498,14 @@ def certify_focal(pair: MultiplicityPair, which: str) -> FocalCertificate:
         raise ValueError(f"which must be 'M1' or 'M2', got {which!r}")
     m1, m2 = pair.m1, pair.m2
     n = hypersurface_dimension(pair)
-    s = m1 + m2
     dim1, dim2 = focal_dimensions(pair)
-    if which == "M1":
-        dim, m_this, m_other = dim1, m1, m2
-    else:
-        dim, m_this, m_other = dim2, m2, m1
-    bound = Fraction(2 * (n + 2) * (m_other - 1), s)
+    dim, m_this, m_other = (dim1, m1, m2) if which == "M1" else (dim2, m2, m1)
+    bound = Fraction(2 * (n + 2) * (m_other - 1), m1 + m2)
     strict = Fraction(dim) < bound
     condition = 2 * m_other >= m_this + 3
     equivalence = (3 * dim >= 2 * n + 3) == condition
-    solomon = None
-    if which == "M2" and is_ot_fkm(m1, m2):
-        solomon = 4 * m1
-    elif which == "M1" and is_ot_fkm(m2, m1):
-        solomon = 4 * m2  # M1 here is M2 of the congruent (m2, m1) family
+    # M1 of (m1, m2) is M2 of the congruent (m2, m1) family
+    solomon = 4 * m_other if is_ot_fkm(m_other, m_this) else None
     covered = strict and condition
     return FocalCertificate(
         pair=pair,
@@ -568,14 +538,7 @@ class SolomonReport:
     prop_quotient_lambda1: int | None  # min(4, 2+k) when m1 = 1
 
     def to_dict(self) -> dict:
-        return {
-            "m1": self.m1,
-            "m2": self.m2,
-            "solomon_upper": self.solomon_upper,
-            "dim_M2": self.dim_M2,
-            "classification": self.classification,
-            "prop_quotient_lambda1": self.prop_quotient_lambda1,
-        }
+        return asdict(self)
 
 
 def solomon_comparison(m1: int, m2: int) -> SolomonReport:

@@ -61,7 +61,6 @@ intrinsic-uniform has not been measured.
 
 from __future__ import annotations
 
-import csv
 import json
 import logging
 import math
@@ -297,13 +296,6 @@ def _forms_and_gradient(family: FKMFamily, x: np.ndarray):
     return r.reshape(lead), q.reshape(lead + q.shape[-1:]), grad.reshape(x.shape)
 
 
-def _level_and_tangent(family: FKMFamily, x: np.ndarray):
-    """F(x) and the spherical gradient grad F - 4 F(x) x, from one pass."""
-    r, q, grad = _forms_and_gradient(family, x)
-    f = r**2 - 2.0 * np.sum(q * q, axis=-1)
-    return f, grad - 4.0 * f[..., None] * x
-
-
 def quadratic_forms(family: FKMFamily, x) -> np.ndarray:
     """<P_i x, x> for i = 0..m, stacked along the last axis."""
     x = _check_dim(family, x)
@@ -339,7 +331,10 @@ def grad_F(family: FKMFamily, x) -> np.ndarray:
 
 def spherical_gradient(family: FKMFamily, x) -> np.ndarray:
     """Gradient of f = F|_sphere at unit x: grad F - 4 F(x) x (tangent to the sphere)."""
-    return _level_and_tangent(family, _check_dim(family, x))[1]
+    x = _check_dim(family, x)
+    r, q, grad = _forms_and_gradient(family, x)
+    f = r**2 - 2.0 * np.sum(q * q, axis=-1)
+    return grad - 4.0 * f[..., None] * x
 
 
 def unit_normal(family: FKMFamily, x) -> np.ndarray:
@@ -433,10 +428,7 @@ class PointCloud:
     def save(self, csv_path: str | Path) -> None:
         """Row-major coordinates as CSV plus a JSON sidecar next to it."""
         csv_path = Path(csv_path)
-        with open(csv_path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            for row in self.points:
-                writer.writerow([format(v, ".17g") for v in row])
+        np.savetxt(csv_path, self.points, fmt="%.17g", delimiter=",", newline="\r\n")
         with open(csv_path.with_suffix(".json"), "w") as fh:
             json.dump(self.sidecar(), fh, indent=2, sort_keys=True)
 

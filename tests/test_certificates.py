@@ -262,11 +262,32 @@ def test_K_divergent_cases():
         certs.integral_K(pair_g4(2, 1), 4)
 
 
+def _both_orientations(max_sum):
+    pairs = admissible_pairs(max_sum)
+    return [*pairs, *(p.swapped() for p in pairs)]
+
+
 def test_K4_is_mirrored_K1():
-    for m1, m2 in [(2, 3), (4, 5), (3, 8)]:
-        k4 = certs.integral_K(pair_g4(m1, m2), 4).value
-        k1_swapped = certs.integral_K(pair_g4(m2, m1), 1).value
-        assert math.isclose(k4, k1_swapped, rel_tol=1e-12)
+    for pair in _both_orientations(256):
+        if pair.m2 < 2:
+            for p, alpha in ((pair, 4), (pair.swapped(), 1)):
+                with pytest.raises(DivergenceError):
+                    certs.integral_K(p, alpha)
+            continue
+        k4, k1 = certs.integral_K(pair, 4), certs.integral_K(pair.swapped(), 1)
+        # value, error_bound, quadrature and quadrature_error, bit for bit
+        assert k4 == k1, pair
+
+
+def test_sin2_theta_and_focal_certificates_are_mirrored():
+    for pair in _both_orientations(256):
+        mirror = pair.swapped()
+        for alpha in (3, 4):
+            assert certs._sin2_theta_alpha(pair, alpha) == certs._sin2_theta_alpha(mirror, 5 - alpha)
+        m1, m2 = certs.certify_focal(pair, "M1"), certs.certify_focal(mirror, "M2")
+        for field in ("dim", "bound", "strict_inequality", "condition_met", "solomon_upper",
+                      "lambda1", "status"):
+            assert getattr(m1, field) == getattr(m2, field), (pair, field)
 
 
 # -- S and T --------------------------------------------------------------------------

@@ -1145,6 +1145,8 @@ def test_point_cloud_save(tmp_path, fam11):
     assert len(rows) == 20
     first = np.array([float(v) for v in rows[0].split(",")])
     assert np.array_equal(first, cloud.points[0])  # 17 sig digits round-trips
+    expected = "".join(",".join(format(v, ".17g") for v in row) + "\r\n" for row in cloud.points)
+    assert path.read_bytes() == expected.encode()
     sidecar = json.loads((tmp_path / "points.json").read_text())
     assert sidecar["count"] == 20 and sidecar["seed"] == 22
     assert sidecar["level"] == 0.1

@@ -137,18 +137,9 @@ def minimal_angle(pair: MultiplicityPair) -> MinimalAngle:
     return MinimalAngle(theta, sin_sq)
 
 
-def principal_angles(pair: MultiplicityPair, theta1: float | None = None) -> tuple[float, ...]:
+def principal_angles(pair: MultiplicityPair, theta1: float) -> tuple[float, ...]:
     """theta_alpha = theta_1 + (alpha-1)*pi/g for alpha = 1..g."""
-    if theta1 is None:
-        theta1 = _default_theta1(pair)
     return tuple(theta1 + (a - 1) * math.pi / pair.g for a in range(1, pair.g + 1))
-
-
-def _default_theta1(pair: MultiplicityPair) -> float:
-    if pair.g % 2 == 0:
-        return minimal_angle(pair).theta
-    # odd g: m1 = m2, so n*H = m1*g*cot(g*theta) vanishes at theta = pi/(2g)
-    return math.pi / (2 * pair.g)
 
 
 def mean_curvature_sum(pair: MultiplicityPair, theta1: float) -> float:
@@ -158,35 +149,6 @@ def mean_curvature_sum(pair: MultiplicityPair, theta1: float) -> float:
         m_alpha = pair.m1 if a % 2 == 1 else pair.m2
         total += m_alpha / math.tan(th)
     return total
-
-
-@dataclass(frozen=True)
-class FamilyGeometry:
-    """Dimensions, angles and codimensions derived from a multiplicity pair."""
-
-    pair: MultiplicityPair
-    n: int
-    theta1: float
-    theta_alpha: tuple[float, ...]
-    dim_M1: int
-    dim_M2: int
-    codim_M1: int
-    codim_M2: int
-
-
-def family_geometry(pair: MultiplicityPair) -> FamilyGeometry:
-    n = hypersurface_dimension(pair)
-    theta1 = _default_theta1(pair)
-    return FamilyGeometry(
-        pair=pair,
-        n=n,
-        theta1=theta1,
-        theta_alpha=principal_angles(pair, theta1),
-        dim_M1=n - pair.m1,
-        dim_M2=n - pair.m2,
-        codim_M1=pair.m1 + 1,
-        codim_M2=pair.m2 + 1,
-    )
 
 
 def focal_dimensions(pair: MultiplicityPair) -> tuple[int, int]:
@@ -295,10 +257,6 @@ KNOWN_EIGENVALUE_FACTS: tuple[KnownEigenvalueFact, ...] = (
         "closed minimal isoparametric hypersurface; lambda1 = n",
     ),
 )
-
-
-def known_eigenvalue_facts() -> tuple[KnownEigenvalueFact, ...]:
-    return KNOWN_EIGENVALUE_FACTS
 
 
 # -- JSON export --------------------------------------------------------------

@@ -46,12 +46,12 @@ import math
 import sys
 from dataclasses import asdict, dataclass
 from fractions import Fraction
-from io import StringIO
 
 import numpy as np
 
 from .catalog import (
     MultiplicityPair,
+    _integer,
     clifford_pairs,
     delta,
     focal_dimensions,
@@ -67,7 +67,9 @@ from .exact import beta_half, gamma_half, sign_of_terms  # noqa: F401
 SCHEMA_VERSION = 2
 
 _EPS = sys.float_info.epsilon
-_QUAD_OPTS = dict(epsrel=1e-12, limit=200)
+# ``quad``'s relative tolerance and its cap on the number of intervals
+_QUAD_EPSREL = 1e-12
+_QUAD_LIMIT = 200
 # h(x) comes from its asymptotic series from here on, where the omitted term is below 3.5e-14
 _SERIES_FROM = 32.0
 # a Beta function whose larger argument reaches this goes by half steps (``_beta``)
@@ -156,25 +158,25 @@ def _gauss_pair(func, lo, hi):
     return high, np.maximum(np.abs(high - low), rounding)
 
 
-def quad(func, a, b, epsrel: float, limit: int):
+def quad(func, a, b):
     """Adaptive Gauss-Legendre quadrature of a vectorized integrand over [a, b].
 
     Returns ``(value, error_estimate)``.  Each interval counts at its 41-point
     value; the distance to its 20-point value estimates its error (generously:
     that is the size of the 20-point error).  While the summed estimate exceeds
-    epsrel |value|, every interval above an even share of that tolerance is cut
-    into 8, all of them evaluated in one call of ``func``, as long as no more
-    than ``limit`` intervals result.  A NaN or infinite estimate raises
-    ValueError.
+    ``_QUAD_EPSREL`` |value|, every interval above an even share of that
+    tolerance is cut into 8, all of them evaluated in one call of ``func``, as
+    long as no more than ``_QUAD_LIMIT`` intervals result.  A NaN or infinite
+    estimate raises ValueError.
     """
     lo, hi = np.array([a], dtype=float), np.array([b], dtype=float)
     val, err = _gauss_pair(func, lo, hi)
     while True:
         value, error = float(val.sum()), float(err.sum())
-        tol = epsrel * abs(value)
+        tol = _QUAD_EPSREL * abs(value)
         split = err > tol / len(lo)
         splits = np.count_nonzero(split)
-        if error <= tol or len(lo) + (len(_CUTS) - 2) * splits > limit:
+        if error <= tol or len(lo) + (len(_CUTS) - 2) * splits > _QUAD_LIMIT:
             return value, error
         if not splits:
             # no interval is above its share: rounding in the sum, or a NaN
@@ -257,15 +259,15 @@ class IntegralValue:
         return abs(self.value - self.quadrature) / scale
 
     def to_dict(self) -> dict:
-        return {"value": self.value, "error_bound": self.error_bound,
-                "quadrature": self.quadrature, "dual_agreement": self.dual_agreement}
+        return {"value": self.value, "error_bound": self.error_bound, "quadrature": self.quadrature,
+                "quadrature_error": self.quadrature_error, "dual_agreement": self.dual_agreement}
 
 
 def integral_G(pair: MultiplicityPair) -> IntegralValue:
     """G = int_0^{pi/2} sin^m1 x cos^m2 x dx, closed form B((m1+1)/2,(m2+1)/2)/2."""
     m1, m2 = pair.m1, pair.m2
     beta, rel = _beta((m1 + 1) / 2, (m2 + 1) / 2)
-    qval, qerr = quad(lambda x: np.sin(x) ** m1 * np.cos(x) ** m2, 0.0, math.pi / 2, **_QUAD_OPTS)
+    qval, qerr = quad(lambda x: np.sin(x) ** m1 * np.cos(x) ** m2, 0.0, math.pi / 2)
     return IntegralValue(beta / 2, beta / 2 * rel, qval, qerr)
 
 
@@ -277,6 +279,7 @@ def _sin2_theta_alpha(pair: MultiplicityPair, alpha: int) -> float:
     the first is evaluated as m1 / (2 (s + sqrt(m2 s))), free of cancellation
     however large s gets.  alpha = 3, 4 are alpha = 2, 1 with m1 <-> m2.
     """
+    alpha = _integer("alpha", alpha)
     if alpha not in (1, 2, 3, 4):
         raise ValueError(f"alpha must be in 1..4, got {alpha}")
     m1, m2 = (pair.m1, pair.m2) if alpha < 3 else (pair.m2, pair.m1)
@@ -318,7 +321,7 @@ def integral_K(pair: MultiplicityPair, alpha: int) -> IntegralValue:
     else:
         shift = (alpha - 1) * math.pi / 4.0
         integrand = lambda x: np.sin(2 * x) ** m1 * np.cos(2 * x) ** m2 / np.sin(shift + x) ** 2
-    qraw, qerr = quad(integrand, 0.0, math.pi / 4, **_QUAD_OPTS)
+    qraw, qerr = quad(integrand, 0.0, math.pi / 4)
     qval = sin2 * qraw
     qerr = sin2 * qerr + abs(qval) * 1e-13
     if end:
@@ -451,7 +454,7 @@ def certify_hypersurface(pair: MultiplicityPair) -> HypersurfaceCertificate:
         status=status,
         precision={
             "float_significant_digits": 17,
-            "quad_epsrel": _QUAD_OPTS["epsrel"],
+            "quad_epsrel": _QUAD_EPSREL,
             "routes": dict(_ROUTES),
         },
     )
@@ -585,23 +588,3 @@ def certificates_json(certs) -> str:
         indent=2,
     )
 
-
-def certificates_csv(certs) -> str:
-    out = StringIO()
-    cols = ["m1", "m2", "n", "K1", "K2", "K3", "K4", "G", "S", "A", "verdicts", "status"]
-    out.write(",".join(cols) + "\n")
-    for c in certs:
-        verdict_str = ";".join(f"{k}={int(v)}" for k, v in sorted(c.verdicts.items()))
-        row = [
-            str(c.pair.m1),
-            str(c.pair.m2),
-            str(c.n),
-            *(format(k.value, ".17g") for k in c.K),
-            format(c.G.value, ".17g"),
-            format(c.S.value, ".17g"),
-            format(c.A.value, ".17g"),
-            verdict_str,
-            c.status,
-        ]
-        out.write(",".join(row) + "\n")
-    return out.getvalue()

@@ -292,10 +292,6 @@ class VerificationReport:
     checks: int
     failures: tuple[str, ...] = field(default_factory=tuple)
 
-    @property
-    def first_violation(self) -> str | None:
-        return self.failures[0] if self.failures else None
-
 
 def verify_system(system: CliffordSystem) -> VerificationReport:
     """Exact integer check of all Clifford-system identities.

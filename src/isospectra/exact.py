@@ -21,6 +21,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
+# the interval precision, in bits, at which ``sign_of_terms`` gives up
+_MAX_PREC = 8192
+
 
 @functools.lru_cache(maxsize=1024)
 def _split_square(n: int) -> tuple[int, int]:
@@ -200,7 +203,7 @@ def beta_half(two_x: int, two_y: int) -> PiRational:
     return gamma_half(two_x) * gamma_half(two_y) / gamma_half(two_x + two_y)
 
 
-def sign_of_terms(terms, max_prec: int = 8192) -> int:
+def sign_of_terms(terms) -> int:
     """Exact sign of ``sum(c * sqrt(d) * pi**p)`` over (c, d, p) terms.
 
     c may be Fraction/int, d a positive integer (1 for no radical), p an
@@ -208,7 +211,7 @@ def sign_of_terms(terms, max_prec: int = 8192) -> int:
     decided in rational arithmetic; everything else goes through interval
     arithmetic whose precision doubles until the sign is certain.
 
-    Raises ArithmeticError if the sign is still ambiguous at max_prec bits
+    Raises ArithmeticError if the sign is still ambiguous at ``_MAX_PREC`` bits
     (in practice only possible when the sum is exactly zero).
     """
     cleaned = []
@@ -231,7 +234,7 @@ def sign_of_terms(terms, max_prec: int = 8192) -> int:
     from mpmath import iv
 
     prec = 128
-    while prec <= max_prec:
+    while prec <= _MAX_PREC:
         old = iv.prec
         try:
             iv.prec = prec

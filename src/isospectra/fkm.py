@@ -351,35 +351,6 @@ def level_angle(t: float) -> float:
     return math.acos(t) / 4.0
 
 
-def parallel_map(family: FKMFamily, x, theta: float) -> np.ndarray:
-    """phi_theta(x) = cos(theta) x + sin(theta) xi(x): normal-geodesic transport of x / |x|.
-
-    Moving distance theta toward M1 takes the level cos(4 theta_0) to
-    cos(4 (theta_0 - theta)); theta = theta_0 lands on M1 itself.
-    """
-    x = _unit_points(family, x)
-    xi = unit_normal(family, x)
-    return math.cos(theta) * x + math.sin(theta) * xi
-
-
-@dataclass(frozen=True)
-class NormalFrame:
-    """Base point, unit normal and an orthonormal tangent basis."""
-
-    point: np.ndarray
-    normal: np.ndarray
-    tangent_basis: np.ndarray
-
-
-def normal_frame(family: FKMFamily, x) -> NormalFrame:
-    """The frame at x / |x|."""
-    x = _unit_points(family, x)
-    if x.ndim != 1:
-        raise ValueError("normal_frame expects a single point")
-    xi = unit_normal(family, x)
-    return NormalFrame(point=x, normal=xi, tangent_basis=_tangent_basis(x, xi))
-
-
 def _tangent_basis(x: np.ndarray, xi: np.ndarray) -> np.ndarray:
     """Orthonormal basis of {x, xi}^perp, rows of shape (d-2, d)."""
     a = np.column_stack([x, xi])
@@ -504,7 +475,7 @@ def _sample(family: FKMFamily, count, seed: int, tol, level, target: float, prop
     counters = {"draws": drawn, "batches": batches, "dropped": dropped, "rejected": rejected,
                 "max_residual": worst}
     _log.debug("sampled %d points of %s, seed %d: %s", count, name, seed, counters)
-    return PointCloud(out, level, int(seed), tol, {**_family_meta(family), **counters})
+    return PointCloud(out, level, int(seed), float(tol), {**_family_meta(family), **counters})
 
 
 def _transported_draws(family: FKMFamily, rng, out: np.ndarray, theta: float) -> int:
@@ -547,8 +518,9 @@ def sample_level_set(
     isoparametric family); rows that miss the tolerance are resampled.  The
     cloud samples the normalized volume of the level set.
     """
-    if not math.isfinite(t):
-        raise ValueError(f"level t must be finite, got t = {t}")
+    if isinstance(t, bool) or not isinstance(t, numbers.Real) or not math.isfinite(t):
+        raise ValueError(f"level t must be a finite real number, got {t!r}")
+    t = float(t)  # the sidecar records it, and JSON writes no numpy float
     if abs(t) >= 1.0 - 1e-6:
         raise NearFocalError(f"level t = {t} is too close to the focal values +-1")
     theta = level_angle(t)

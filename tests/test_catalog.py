@@ -245,21 +245,19 @@ def test_focal_dimensions():
 
 
 def test_family_geometry():
-    geo = catalog.family_geometry(pair_g4(4, 5))
-    assert geo.n == 18 and geo.dim_M1 == 14 and geo.dim_M2 == 13
-    assert geo.codim_M1 == 5 and geo.codim_M2 == 6
-    assert len(geo.theta_alpha) == 4
-    diffs = [b - a for a, b in zip(geo.theta_alpha, geo.theta_alpha[1:])]
-    for d in diffs:
-        assert math.isclose(d, math.pi / 4, rel_tol=1e-15)
-    assert 0 < geo.theta_alpha[0] and geo.theta_alpha[-1] < math.pi
+    pair = pair_g4(4, 5)
+    theta = catalog.principal_angles(pair, catalog.minimal_angle(pair).theta)
+    assert len(theta) == 4
+    for a, b in zip(theta, theta[1:]):
+        assert math.isclose(b - a, math.pi / 4, rel_tol=1e-15)
+    assert 0 < theta[0] and theta[-1] < math.pi
 
 
 # -- known facts and export --------------------------------------------------------------
 
 
 def test_known_eigenvalue_facts():
-    facts = catalog.known_eigenvalue_facts()
+    facts = catalog.KNOWN_EIGENVALUE_FACTS
     ids = {f.manifold for f in facts}
     assert {"focal-g2-sphere", "veronese-RP2", "veronese-CP2", "veronese-HP2",
             "veronese-OP2", "quotient-(1,k)", "hypersurface"} <= ids

@@ -152,7 +152,7 @@ def test_quad_rejects_a_nan_integrand():
         return np.where(x > 0.5, np.nan, 1.0)
 
     with pytest.raises(ValueError, match="not finite"):
-        certs.quad(nan_on_right_half, 0.0, 1.0, 1e-12, 200)
+        certs.quad(nan_on_right_half, 0.0, 1.0)
 
 
 def test_certify_without_factorial_route(monkeypatch):
@@ -260,6 +260,14 @@ def test_K_divergent_cases():
         certs.integral_K(pair_g4(1, 2), 1)
     with pytest.raises(DivergenceError):
         certs.integral_K(pair_g4(2, 1), 4)
+
+
+def test_integral_K_rejects_an_alpha_that_is_no_int():
+    pair = pair_g4(4, 5)
+    for alpha in (True, 2.0, "2", None):
+        with pytest.raises(ValueError, match="alpha must be an int"):
+            certs.integral_K(pair, alpha)
+    assert certs.integral_K(pair, np.int64(2)) == certs.integral_K(pair, 2)
 
 
 def _both_orientations(max_sum):
@@ -521,8 +529,6 @@ def test_certify_integrates_each_quantity_once(monkeypatch):
 
 
 def test_certificates_serialization():
-    import csv
-    import io
     import json
 
     batch = [certs.certify_hypersurface(pair_g4(2, 2)), certs.certify_hypersurface(pair_g4(4, 5))]
@@ -532,10 +538,13 @@ def test_certificates_serialization():
     assert data["certificates"][0]["status"] == "pass"
     routes = data["certificates"][0]["precision"]["routes"]
     assert set(routes) == set(batch[0].exact_verdicts)
-    text = certs.certificates_csv(batch)
-    rows = list(csv.reader(io.StringIO(text)))
-    assert rows[0][:4] == ["m1", "m2", "n", "K1"]
-    assert len(rows) == 3
+    # each G and K entry records both routes and the quadrature's error estimate
+    for cert, entry in zip(batch, data["certificates"]):
+        for value, written in zip((cert.G, *cert.K), (entry["G"], *entry["K"])):
+            assert written == {"value": value.value, "error_bound": value.error_bound,
+                               "quadrature": value.quadrature,
+                               "quadrature_error": value.quadrature_error,
+                               "dual_agreement": value.dual_agreement}
 
 
 # -- focal certificates --------------------------------------------------------------------

@@ -152,7 +152,7 @@ def test_all_small_systems_verify():
         sys = build_system(m, k)
         assert sys.l == k * delta(m)
         report = verify_system(sys)
-        assert report.passed, (m, k, report.first_violation)
+        assert report.passed, (m, k, report.failures)
 
 
 def test_periodicity_dimensions_and_verification():
@@ -505,7 +505,7 @@ def test_build_system_stores_numpy_integers_as_ints():
 def test_every_built_system_verifies_round_trips_and_gathers(m, k):
     system = build_system(m, k)
     report = verify_system(system)
-    assert report.passed and report.checks == (m + 1) * (m + 4) // 2, report.first_violation
+    assert report.passed and report.checks == (m + 1) * (m + 4) // 2, report.failures
     assert CliffordSystem.from_json(system.to_json()) == system
     d = system.ambient_dim
     if system.l - m - 1 >= 1 and d <= 128:

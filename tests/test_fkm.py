@@ -642,6 +642,22 @@ def test_sample_level_set_rejects_a_non_finite_level(fam11):
         assert not isinstance(caught.value, NearFocalError)
 
 
+def test_sample_level_set_rejects_a_level_that_is_no_real_number(fam11):
+    for t in (None, "0.3", 0.3j, True, [0.3]):
+        with pytest.raises(ValueError, match="level t must be a finite real number") as caught:
+            fkm.sample_level_set(fam11, t, 10, seed=0)
+        assert not isinstance(caught.value, NearFocalError)
+
+
+def test_sample_level_set_saves_a_numpy_level_and_tol(fam11, tmp_path):
+    # both are recorded as Python floats, so the sidecar stays JSON
+    cloud = fkm.sample_level_set(fam11, np.float32(0.3), 10, seed=0, tol=np.float32(1e-6))
+    cloud.save(tmp_path / "cloud.csv")
+    sidecar = json.loads((tmp_path / "cloud.json").read_text())
+    assert (sidecar["level"], sidecar["tolerance"]) == (float(np.float32(0.3)), float(np.float32(1e-6)))
+    assert type(cloud.level) is float and type(cloud.tolerance) is float
+
+
 SAMPLERS = {
     "level": lambda fam, count, tol, seed=0: fkm.sample_level_set(fam, 0.2, count, seed=seed, tol=tol),
     "M1": lambda fam, count, tol, seed=0: fkm.sample_focal_M1(fam, count, seed=seed, tol=tol),
@@ -915,27 +931,6 @@ def test_sample_determinism(fam11):
     assert not np.array_equal(a.points, e.points)
 
 
-def test_parallel_map_level_oracle(fam11):
-    # f(phi_theta(x)) = cos(4 (theta0 - theta)) where cos(4 theta0) = f(x)
-    cloud = fkm.sample_level_set(fam11, 0.0, 100, seed=12)
-    theta0 = fkm.level_angle(0.0)
-    for theta in (0.05, 0.11, -0.08):
-        y = fkm.parallel_map(fam11, cloud.points, theta)
-        fy = fkm.eval_F(fam11, y)
-        assert np.abs(np.linalg.norm(y, axis=1) - 1).max() < 1e-12
-        assert fy.max() - fy.min() < 1e-8  # constant across the level
-        assert np.abs(fy - math.cos(4 * (theta0 - theta))).max() < 1e-8
-
-
-def test_parallel_map_identity_and_focal_landing(fam11):
-    cloud = fkm.sample_level_set(fam11, 0.3, 50, seed=13)
-    y = fkm.parallel_map(fam11, cloud.points, 0.0)
-    assert np.allclose(y, cloud.points, atol=1e-15)
-    theta0 = fkm.level_angle(0.3)
-    z = fkm.parallel_map(fam11, cloud.points, theta0)
-    assert np.abs(fkm.eval_F(fam11, z) - 1).max() < 1e-8
-
-
 @pytest.mark.parametrize("pair", BLOCK_PAIRS, ids=lambda p: f"{p[0]}-{p[1]}")
 def test_transport_is_exact(block_families, pair):
     # f(cos s x + sin s xi) = cos 4(theta_0 - s) holds to rounding, with no polishing
@@ -1014,39 +1009,18 @@ def test_sample_focal_M2_parallel_characterization(fam11):
     assert np.linalg.norm(np.cross(z, w), axis=1).max() < 1e-10
 
 
-# -- normal frames and shape operator ---------------------------------------------------
+# -- normals and shape operator ---------------------------------------------------
 
 
 def test_normal_and_transport_act_on_the_unit_point(fam43):
     x = fkm.sample_level_set(fam43, 0.5, 1, seed=36).points[0]
-    frame = fkm.normal_frame(fam43, 2.0 * x)
-    assert abs(np.dot(frame.normal, x)) < 1e-12
-    assert np.abs(frame.point - x).max() < 1e-15
-    y = fkm.parallel_map(fam43, 2.0 * x, 0.1)
-    assert abs(np.dot(y, y) - 1.0) < 1e-12
-    assert np.abs(y - fkm.parallel_map(fam43, x, 0.1)).max() < 1e-15
+    xi = fkm.unit_normal(fam43, 2.0 * x)
+    assert abs(np.dot(xi, x)) < 1e-12 and abs(np.linalg.norm(xi) - 1.0) < 1e-12
+    assert np.abs(xi - fkm.unit_normal(fam43, x)).max() < 1e-15
     d = fam43.ambient_dim
-    for call in (
-        lambda z: fkm.unit_normal(fam43, z),
-        lambda z: fkm.normal_frame(fam43, z),
-        lambda z: fkm.parallel_map(fam43, z, 0.1),
-    ):
+    for z in (np.zeros(d), np.stack([x, np.zeros(d)])):
         with pytest.raises(ValueError, match="nonzero"):
-            call(np.zeros(d))
-    with pytest.raises(ValueError, match="nonzero"):
-        fkm.unit_normal(fam43, np.stack([x, np.zeros(d)]))
-
-
-def test_normal_frame(fam11):
-    cloud = fkm.sample_level_set(fam11, 0.2, 5, seed=18)
-    frame = fkm.normal_frame(fam11, cloud.points[0])
-    assert abs(np.dot(frame.normal, frame.point)) < 1e-12
-    assert abs(np.linalg.norm(frame.normal) - 1) < 1e-12
-    basis = frame.tangent_basis
-    assert basis.shape == (4, 6)
-    assert np.abs(basis @ frame.point) .max() < 1e-12
-    assert np.abs(basis @ frame.normal).max() < 1e-12
-    assert np.allclose(basis @ basis.T, np.eye(4), atol=1e-12)
+            fkm.unit_normal(fam43, z)
 
 
 @pytest.fixture(scope="module")

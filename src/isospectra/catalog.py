@@ -182,8 +182,10 @@ def clifford_pairs(max_sum: int) -> list[tuple[int, int]]:
     """Oriented FKM pairs (m, k*delta(m)-m-1) with both entries positive and sum <= max_sum.
 
     Sorted by (m1+m2, m1).  Both orientations of a pair can occur; they are
-    distinct families whose focal submanifolds interchange.
+    distinct families whose focal submanifolds interchange.  ValueError when
+    max_sum is no int.
     """
+    max_sum = _integer("max_sum", max_sum)
     pairs = []
     for m in range(1, max_sum):
         d = delta(m)
@@ -199,8 +201,9 @@ def admissible_pairs(max_sum: int) -> tuple[MultiplicityPair, ...]:
     """All admissible g=4 pairs with m1 + m2 <= max_sum, normalized m1 <= m2.
 
     The FKM pairs plus (2, 2) and (4, 5), deduplicated and sorted by
-    (m1+m2, m1).
+    (m1+m2, m1).  ValueError when max_sum is no int or is < 2.
     """
+    max_sum = _integer("max_sum", max_sum)
     if max_sum < 2:
         raise ValueError(f"max_sum must be >= 2, got {max_sum}")
     found = {(min(a, b), max(a, b)) for a, b in clifford_pairs(max_sum)}

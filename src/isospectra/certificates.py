@@ -385,7 +385,8 @@ def certify_hypersurface(pair: MultiplicityPair) -> HypersurfaceCertificate:
     * S < 1, A >= 2, and 1 + S < A.
 
     A margin smaller than its error bound yields status ``inconclusive``
-    rather than a silent pass.
+    rather than a silent pass.  UnsupportedCaseError when G or a K_alpha
+    underflows below the smallest normal float.
     """
     if pair.g != 4:
         raise UnsupportedCaseError(f"certificates cover g=4 only, got g={pair.g}")
@@ -397,9 +398,16 @@ def certify_hypersurface(pair: MultiplicityPair) -> HypersurfaceCertificate:
     m1, m2 = pair.m1, pair.m2
     s = m1 + m2
     n = hypersurface_dimension(pair)
-    angle = minimal_angle(pair)
     g_val = integral_G(pair)
     k_vals = tuple(integral_K(pair, a) for a in (1, 2, 3, 4))
+    tiny = [name for name, v in zip(("G", "K_1", "K_2", "K_3", "K_4"), (g_val, *k_vals))
+            if v.value < sys.float_info.min]
+    if tiny:
+        raise UnsupportedCaseError(
+            f"({m1}, {m2}): {', '.join(tiny)} underflow below the smallest normal float, "
+            "where the relative error bounds no longer hold"
+        )
+    angle = minimal_angle(pair)
     s_val = gamma_ratio_S(pair)
     a_val = threshold_A(pair)
 

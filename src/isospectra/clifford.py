@@ -11,7 +11,9 @@ realize m-1 anticommuting orthogonal skew matrices E_1..E_{m-1} on R^l
 The skew generators come from complex/quaternion/octonion left multiplication
 in their minimal dimensions 2, 4, 8, extended by the 16-fold periodicity
 E -> {G_i x I, omega x A_j} where G_1..G_8 generate on R^16 and
-omega = G_1...G_8 is the (symmetric, involutive) volume element.
+omega = G_1...G_8 is the (symmetric, involutive) volume element.  The units
+of R, C, H, O multiply by one sign rule, e_a e_b = s(a, b) e_{a XOR b}, with
+s(a, b) from the Cayley-Dickson doubling (``_unit_sign``).
 
 All matrices are signed permutations, stored only as (perm, sign) index arrays
 with (P_i x)_r = sign_r x_{perm_r}.  ``build_system`` composes them (a Kronecker
@@ -38,67 +40,33 @@ SCHEMA_VERSION = 2
 # -- normed-algebra structure tables ------------------------------------------
 
 
-def _cayley_dickson(table: np.ndarray) -> np.ndarray:
-    """Double a composition-algebra multiplication table.
+def _unit_sign(a: int, b: int) -> int:
+    """The sign s in e_a e_b = s e_{a XOR b} for the Cayley-Dickson units of R, C, H, O.
 
-    ``table[a, b] = (sign, index)`` encodes e_a * e_b = sign * e_index with
-    e_0 the unit.  Doubling rule on pairs (a, b), (c, d):
-    (a,b)(c,d) = (ac - conj(d)b, da + b conj(c)).
+    e_0 is the unit.  With h the top bit of max(a, b), a unit below h is
+    (e, 0) and one at or above it is (0, e), and the doubling rule
+    (a,b)(c,d) = (ac - conj(d)b, da + b conj(c)) gives s from the lower bits.
     """
-    n = table.shape[0]
-
-    def conj(sign: int, idx: int) -> tuple[int, int]:
-        return (sign, idx) if idx == 0 else (-sign, idx)
-
-    def mul(x, y):
-        sx, ix = x
-        sy, iy = y
-        s, i = table[ix, iy]
-        return sx * sy * s, i
-
-    out = np.zeros((2 * n, 2 * n, 2), dtype=np.int64)
-    for a in range(2 * n):
-        for c in range(2 * n):
-            a0, a1 = a % n, a // n
-            c0, c1 = c % n, c // n
-            # basis element a is (e_{a0}, 0) or (0, e_{a0}) depending on a1
-            x = (1, a0)
-            y = (1, c0)
-            if a1 == 0 and c1 == 0:
-                s, i = mul(x, y)
-                out[a, c] = (s, i)
-            elif a1 == 0 and c1 == 1:
-                # (a,0)(0,d) = (0, d a)
-                s, i = mul(y, x)
-                out[a, c] = (s, i + n)
-            elif a1 == 1 and c1 == 0:
-                # (0,b)(c,0) = (0, b conj(c))
-                s, i = mul(x, conj(1, c0))
-                out[a, c] = (s, i + n)
-            else:
-                # (0,b)(0,d) = (-conj(d) b, 0)
-                s, i = mul(conj(1, c0), x)
-                out[a, c] = (-s, i)
-    return out
-
-
-@lru_cache(maxsize=None)
-def _algebra_table(dim: int) -> np.ndarray:
-    """Multiplication table of R, C, H or O (dim in {1, 2, 4, 8})."""
-    if dim == 1:
-        return np.array([[[1, 0]]], dtype=np.int64)
-    return _cayley_dickson(_algebra_table(dim // 2))
+    if a == 0 or b == 0:
+        return 1
+    h = 1 << (max(a, b).bit_length() - 1)
+    a0, b0 = a % h, b % h
+    conj = -1 if b0 else 1  # conj(e_b0) = conj * e_b0
+    if a < h:  # (a0, 0)(0, b0) = (0, b0 a0)
+        return _unit_sign(b0, a0)
+    if b < h:  # (0, a0)(b0, 0) = (0, a0 conj(b0))
+        return conj * _unit_sign(a0, b0)
+    return -conj * _unit_sign(b0, a0)  # (0, a0)(0, b0) = (-conj(b0) a0, 0)
 
 
 def _left_multiplications(dim: int) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Signed permutations of x -> e_a * x for the imaginary units e_1..e_{dim-1}."""
-    table = _algebra_table(dim)
-    forms = []
-    for a in range(1, dim):
-        # e_a * e_b = sign_b e_{idx_b}: row idx_b has its entry sign_b in column b
-        order = np.argsort(table[a, :, 1])
-        forms.append((order, table[a, order, 0]))
-    return forms
+    """Signed permutations of x -> e_a x for the imaginary units e_1..e_{dim-1}, dim in {1, 2, 4, 8}.
+
+    Row r of e_a x is s(a, b) x_b with b = a XOR r.
+    """
+    rows = np.arange(dim)
+    return [(rows ^ a, np.array([_unit_sign(a, a ^ r) for r in range(dim)], dtype=np.int64))
+            for a in range(1, dim)]
 
 
 def _compose(a, b):
@@ -316,12 +284,13 @@ def verify_system(system: CliffordSystem) -> VerificationReport:
         trace = int(sign[perm == ident].sum())
         if trace != 0:
             failures.append(f"P_{i} has nonzero trace {trace}")
-    for (i, (pi, si)), (j, (pj, sj)) in itertools.combinations_with_replacement(forms, 2):
-        # P_i P_j is the signed permutation (pj[pi], si * sj[pi])
+    for (i, a), (j, b) in itertools.combinations_with_replacement(forms, 2):
+        perm, sign = _compose(a, b)  # P_i P_j
         if i == j:
-            holds = np.array_equal(pi[pi], ident) and bool((si * si[pi] == 1).all())
+            holds = np.array_equal(perm, ident) and bool((sign == 1).all())
         else:
-            holds = np.array_equal(pj[pi], pi[pj]) and np.array_equal(si * sj[pi], -sj * si[pj])
+            perm_ji, sign_ji = _compose(b, a)
+            holds = np.array_equal(perm, perm_ji) and np.array_equal(sign, -sign_ji)
         if not holds:
             kind = "square" if i == j else "anticommutator"
             failures.append(f"{kind} identity violated at (P_{i}, P_{j})")

@@ -229,6 +229,15 @@ def test_admissible_pairs_sorted_and_valid():
         catalog.admissible_pairs(1)
 
 
+@pytest.mark.parametrize("function", [catalog.clifford_pairs, catalog.admissible_pairs,
+                                      catalog.catalog_entries, catalog.catalog_json])
+def test_max_sum_must_be_an_int(function):
+    for max_sum in (10.5, "12", None, True):
+        with pytest.raises(ValueError, match="max_sum must be an int"):
+            function(max_sum)
+    assert function(np.int64(12)) == function(12)
+
+
 # -- focal dimensions ------------------------------------------------------------------
 
 

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from isospectra import certificates as certs
 from isospectra import exact
-from isospectra.catalog import MultiplicityPair, admissible_pairs, delta, pair_g4
+from isospectra.catalog import MultiplicityPair, admissible_pairs, clifford_multiplier, delta, pair_g4
 from isospectra.errors import DivergenceError, UnsupportedCaseError
 from isospectra.exact import PiRational, Surd, beta_half, gamma_half, sign_of_terms
 
@@ -438,6 +438,14 @@ def test_certify_precondition_guard():
         certs.certify_hypersurface(pair_g4(1, 1))
 
 
+# (69, 2 delta(69) - 70) puts G = B(35, ~3.4e10)/2 at 0.0; at (67, delta(67) - 68) it is subnormal
+@pytest.mark.parametrize("pair", [(69, 68719476666), (68719476666, 69), (67, 34359738300), (34359738300, 67)])
+def test_certify_refuses_a_G_or_K_below_the_normal_floats(pair):
+    assert clifford_multiplier(*sorted(pair)) is not None
+    with pytest.raises(UnsupportedCaseError, match="underflow"):
+        certs.certify_hypersurface(pair_g4(*pair))
+
+
 def test_certify_margins_exceed_errors():
     for pair in [pair_g4(2, 2), pair_g4(4, 5), pair_g4(2, 9)]:
         cert = certs.certify_hypersurface(pair)
@@ -654,3 +662,6 @@ def test_solomon_undetermined_is_the_seven():
     assert certs.solomon_undetermined(64) == seven
     # no further undetermined pairs appear in a much wider sweep
     assert certs.solomon_undetermined(200) == seven
+    for max_sum in (10.5, "12", None, True):
+        with pytest.raises(ValueError, match="max_sum must be an int"):
+            certs.solomon_undetermined(max_sum)

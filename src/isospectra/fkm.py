@@ -44,19 +44,29 @@ on the calling thread.  Each batch streams into the cloud's own array: a
 proposal draws straight into the unfilled tail, turns the draws into
 candidates in place one row block at a time, and the rows it drops or that
 miss the level check are compacted away in place.  Besides the cloud, a call
-holds the level check's per-row forms q, for M2 the coefficients c, and a few
-block-sized buffers allocated once per call; the level-set and M1 transport
-forms the gradient in those buffers, block by block.  Each cloud's meta
-records its draws, batches, dropped and rejected candidates and its worst
-residual, and the ``isospectra`` logger reports them at DEBUG.
+holds the level check's per-row forms q and a few block-sized buffers
+allocated once per call; the level-set and M1 transport forms the gradient in
+those buffers, block by block.  Each cloud's meta records its draws, batches,
+dropped and rejected candidates and its worst residual, and the
+``isospectra`` logger reports them at DEBUG.
 Level-set and M1 clouds are push-forwards of the uniform sphere measure along
 the normal geodesics, and the transport is exact: f(cos s x + sin s xi(x)) =
 cos 4(theta_0 - s) (Münzner 1980).  On a level set that push-forward is the
 normalized volume of the leaf, because the principal curvatures are constant
 on each leaf, so the Jacobian of the transport between leaves depends on the
 distance alone; the tests compare its second moments with uniform sphere draws
-in the shell |f - t| < 1e-3.  Whether the M1 and M2 clouds are
-intrinsic-uniform has not been measured.
+in the shell |f - t| < 1e-3.
+M2 is the union over unit c in R^{m+1} of the unit spheres of the +1
+eigenspaces E+(P_c), P_c = sum c_i P_i (Ferus-Karcher-Münzner 1981), each of
+dimension l.  The family requires the block form P_0 = diag(I, -I),
+P_i = [[0, B_i], [B_i^T, 0]], and each M2 candidate is drawn from m+1+l
+normals, g and then u in R^l: x = ((|g| + g_0) u, B_g^T u) / norm, with
+B_g = sum_{i>=1} g_i B_i, lies in E+(P_c) for c = g/|g|, and u -> x before
+normalizing is a scaled isometry onto E+(P_c).  So x is uniform on the unit
+sphere of E+(P_c), with c uniform on S^m: the law of the normalized
+projection y + P_c y of a standard normal y in R^{2l}, from half the normals
+and half the gathers.  Whether the M1 and M2 clouds are intrinsic-uniform has
+not been measured.
 """
 
 from __future__ import annotations
@@ -92,17 +102,24 @@ _BLOCK_ELEMENTS = 2**15
 
 @dataclass(frozen=True)
 class FKMFamily:
-    """A Clifford system, its multiplicity pair (m, l-m-1) and each P_i's signed gather index."""
+    """A Clifford system in block form, its multiplicity pair (m, l-m-1) and its gather indices."""
 
     system: CliffordSystem
     pair: MultiplicityPair
     _gathers: tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False)
+    _half_gathers: tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        """Derive the gather indices; ValueError when the pair is not (m, l-m-1) of the system.
+        """Derive the gather indices; ValueError when the pair is not (m, l-m-1) of the system
+        or the system is not in block form.
 
-        Row r of P_i x is sign_r x_{perm_r}, so entry r of P_i's index into
-        [x | -x] is perm_r for a +1 and perm_r + d for a -1.
+        Block form, as ``build_system`` makes it, is P_0 = diag(I, -I) and
+        P_i = [[0, B_i], [B_i^T, 0]] for i >= 1 on R^l + R^l.  Row r of P_i x
+        is sign_r x_{perm_r}, so entry r of P_i's index into [x | -x] is perm_r
+        for a +1 and perm_r + d for a -1.  Rows l..2l-1 of that index for
+        i >= 1 form B_i^T u from the top half u of x; ``_half_gathers`` aims
+        them at the rows of a feature-major [g | u | -g | -u] block, g in
+        R^{m+1} and u in R^l (``_eigenspace_draws``).
         """
         m, l = self.system.m, self.system.l
         if (self.pair.g, self.pair.m1, self.pair.m2) != (4, m, l - m - 1):
@@ -111,9 +128,20 @@ class FKMFamily:
                 f"match the system: m = {m}, l = {l} give (4, {m}, {l - m - 1})"
             )
         perm, sign = self.system.perm, self.system.sign
-        gathers = np.where(sign > 0, perm, perm + self.system.ambient_dim)
-        gathers.setflags(write=False)
-        object.__setattr__(self, "_gathers", tuple(gathers))
+        d, w = self.system.ambient_dim, m + 1 + l
+        if len(perm) != m + 1:
+            raise ValueError(f"the system has {len(perm)} matrices, m + 1 = {m + 1} expected")
+        block = (perm[:, :l] >= l).all(axis=1) & (perm[:, l:] < l).all(axis=1)
+        block[0] = np.array_equal(perm[0], np.arange(d)) and np.array_equal(sign[0], np.repeat([1, -1], l))
+        if not block.all():
+            raise ValueError(f"P_{int(np.argmin(block))} is not in block form: P_0 = diag(I, -I) "
+                             "and P_i = [[0, B_i], [B_i^T, 0]] for i >= 1")
+        gathers = np.where(sign > 0, perm, perm + d)
+        bottom = gathers[1:, l:]
+        halves = np.where(bottom < d, bottom, bottom - d + w) + m + 1
+        for name, index in (("_gathers", gathers), ("_half_gathers", halves)):
+            index.setflags(write=False)
+            object.__setattr__(self, name, tuple(index))
 
     @property
     def ambient_dim(self) -> int:
@@ -434,7 +462,8 @@ def _compact(x: np.ndarray, keep: np.ndarray) -> int:
     return len(idx)
 
 
-def _sample(family: FKMFamily, count, seed: int, tol, level, target: float, propose) -> PointCloud:
+def _sample(family: FKMFamily, count, seed: int, tol, level, target: float, propose,
+            provenance: dict | None = None) -> PointCloud:
     """The rejection loop of every sampler: keep the rows with |f - target| <= tol.
 
     The cloud's array is filled in place.  ``propose(rng, out)`` draws
@@ -444,7 +473,8 @@ def _sample(family: FKMFamily, count, seed: int, tol, level, target: float, prop
     fails after ``_MAX_ATTEMPTS`` batches, or once at least 2*count draws have
     been made and more than half of them failed.  The cloud's meta records the
     draws, the batches, the candidates ``dropped`` by the proposal and
-    ``rejected`` by the tolerance, and the worst kept |f - target|.
+    ``rejected`` by the tolerance, the worst kept |f - target| and the
+    entries of ``provenance``.
     """
     for arg, value in (("count", count), ("seed", seed)):
         if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 0:
@@ -475,7 +505,8 @@ def _sample(family: FKMFamily, count, seed: int, tol, level, target: float, prop
     counters = {"draws": drawn, "batches": batches, "dropped": dropped, "rejected": rejected,
                 "max_residual": worst}
     _log.debug("sampled %d points of %s, seed %d: %s", count, name, seed, counters)
-    return PointCloud(out, level, int(seed), float(tol), {**_family_meta(family), **counters})
+    meta = {**_family_meta(family), **(provenance or {}), **counters}
+    return PointCloud(out, level, int(seed), float(tol), meta)
 
 
 def _transported_draws(family: FKMFamily, rng, out: np.ndarray, theta: float) -> int:
@@ -566,44 +597,71 @@ def sample_focal_M1(
 def _eigenspace_draws(family: FKMFamily, rng, out: np.ndarray) -> int:
     """Unit points of M2 written to the front of ``out``; returns how many.
 
-    Per row, a unit c is drawn in R^{m+1}, all rows' c first on the calling
-    thread, then y standard normal, straight into ``out`` and one block ahead
-    (``_drawn_ahead``); y + sum_i c_i P_i y, normalized, is the candidate.
-    Each feature-major block takes the products c_i (P_i y) in the order
-    i = 0..m onto a zero sum, which is then added to y.  Rows whose norm is
-    <= 1e-6 are dropped.
+    Each row draws g in R^{m+1} and then u in R^l, one row-major stream of
+    w = m+1+l standard normals per row, one block ahead (``_drawn_ahead``)
+    into the last w * len(out) values of ``out``'s own memory.  With
+    B_g = sum_{i>=1} g_i B_i the candidate is ((|g| + g_0) u, B_g^T u),
+    normalized, a unit point of E+(P_c) for c = g/|g|.  Where g_0 < 0,
+    |g| + g_0 is taken as sum_{i>=1} g_i^2 / (|g| - g_0), which does not
+    cancel.  Rows whose norm is 0 or not finite are dropped.  Output row j
+    ends at value 2l(j+1) of the memory and draw row j+1 starts at
+    (2l - w) len(out) + w(j+1), which is no earlier since w < 2l: no row
+    written overwrites a draw not yet read, nor one the worker is filling.
     """
-    c = rng.standard_normal((len(out), len(family._gathers)))
-    d, k = out.shape[1], c.shape[1]
-    keep = np.empty(len(out), dtype=bool)
-    with _drawn_ahead(rng, out) as drawn:
-        for rows, signed, ct, term, acc in _feature_blocks(out, k, d, d, wait=drawn):
-            ct[...] = c[rows].T
-            ct /= _row_norms(ct, term[:k])
-            acc[...] = 0.0
-            for index, ci in zip(family._gathers, ct):
+    n, d = out.shape
+    k, l = len(family._gathers), d // 2
+    w = k + l
+    # out is C-contiguous (the unfilled rows of the cloud), so this is a view
+    draws = out.reshape(-1)[(d - w) * n :].reshape(n, w)
+    first, *rest = family._half_gathers
+    keep = np.empty(n, dtype=bool)
+    with _drawn_ahead(rng, draws) as drawn:
+        for rows, signed, x, term, tmp in _feature_blocks(draws, d, l, d, wait=drawn):
+            g, u = signed[:k], signed[k:w]
+            squares = np.multiply(g, g, out=tmp[:k])
+            norm = np.sqrt(_row_sums(squares))
+            scale = norm + g[0]
+            np.divide(_row_sums(squares[1:]), norm - g[0], out=scale, where=g[0] < 0)
+            np.multiply(u, scale, out=x[:l])
+            # B_g^T u, one gather per B_i^T in the order i = 1..m
+            bottom = x[l:]
+            np.take(signed, first, axis=0, out=bottom, mode="clip")
+            bottom *= g[1]
+            for index, gi in zip(rest, g[2:]):
                 np.take(signed, index, axis=0, out=term, mode="clip")
-                term *= ci
-                acc += term
-            y = signed[:d]
-            y += acc
-            norms = _row_norms(y, term)
-            keep[rows] = ok = norms > 1e-6
-            y /= np.where(ok, norms, 1.0)
-            out[rows] = y.T
+                term *= gi
+                bottom += term
+            norms = _row_norms(x, tmp)
+            keep[rows] = ok = np.isfinite(norms) & (norms > 0.0)
+            x /= np.where(ok, norms, 1.0)
+            out[rows] = x.T
     return _compact(out, keep)
+
+
+# recorded in the meta of every M2 cloud; clouds of the earlier y + P_c y proposal have no such key
+M2_PROPOSAL = "half_space"
 
 
 def sample_focal_M2(
     family: FKMFamily, count: int, seed: int, tol: float = _LEVEL_TOL
 ) -> PointCloud:
-    """Points of M2 = f^{-1}(-1) via the eigenspace construction.
+    """Points of M2 = f^{-1}(-1), through the eigenspaces E+(P_c) (Ferus-Karcher-Münzner).
 
-    For a unit c in R^{m+1}, P = sum c_i P_i satisfies P^2 = I; any unit x in
-    its +1 eigenspace has sum_i <P_i x, x>^2 = 1, hence f(x) = -1 exactly.
+    For a unit c in R^{m+1}, P_c = sum c_i P_i satisfies P_c^2 = I, and any
+    unit x in its +1 eigenspace has q_i(x) = c_i, so sum_i q_i^2 = 1 and
+    f(x) = -1 exactly; M2 is the union of those unit spheres.  In block form
+    P_c = [[c_0 I, B_c], [B_c^T, -c_0 I]] with B_c B_c^T = (1 - c_0^2) I, so
+    with g a standard normal in R^{m+1}, c = g/|g| and B_g = |g| B_c, the map
+    u -> ((|g| + g_0) u, B_g^T u) sends R^l into E+(P_c) and multiplies every
+    length by sqrt(2|g|(|g| + g_0)).  A standard normal u in R^l therefore
+    gives a point uniform on the unit sphere of E+(P_c): the law of the
+    normalized projection y + P_c y of a standard normal y in R^{2l}, drawn
+    from l normals instead of 2l and formed by m gathers of width l instead
+    of m+1 of width 2l.  The cloud's meta records ``proposal``: ``M2_PROPOSAL``.
     """
     return _sample(
-        family, count, seed, tol, "M2", -1.0, lambda rng, out: _eigenspace_draws(family, rng, out)
+        family, count, seed, tol, "M2", -1.0, lambda rng, out: _eigenspace_draws(family, rng, out),
+        {"proposal": M2_PROPOSAL},
     )
 
 

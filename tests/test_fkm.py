@@ -1,3 +1,4 @@
+import hashlib
 import json
 import logging
 import math
@@ -9,10 +10,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.stats import ks_2samp
 
 from isospectra import fkm
 from isospectra.catalog import MultiplicityPair, pair_g4
-from isospectra.clifford import CliffordSystem, build_system
+from isospectra.clifford import CliffordSystem, build_system, verify_system
 from isospectra.errors import InvalidPairError, NearFocalError, SamplingError
 from isospectra.fkm import FKMFamily
 
@@ -404,7 +406,30 @@ def _reference_transported(family, rng, want, theta):
 
 
 def _reference_eigenspace(family, rng, want):
-    """Unit rows of y + sum_i c_i P_i y, whole batch at a time, products by dense matmul."""
+    """Unit rows of ((|g| + g_0) u, B_g^T u), whole batch at a time, B_i^T u by dense matmul.
+
+    Each row draws g in R^{m+1}, then u in R^l; B_i is the top right l x l block of P_i.
+    """
+    k, l = len(family.system.matrices), family.system.l
+    draws = rng.standard_normal((want, k + l))
+    g, u = draws[:, :k], draws[:, k:]
+    norm = np.linalg.norm(g, axis=-1)
+    tail = np.sum(g[:, 1:] ** 2, axis=-1)
+    negative = g[:, 0] < 0
+    scale = norm + g[:, 0]
+    scale[negative] = tail[negative] / (norm[negative] - g[negative, 0])
+    blocks = [p[:l, l:].astype(np.float64) for p in family.system.matrices[1:]]
+    bottom = g[:, 1:2] * (u @ blocks[0])
+    for i, b in enumerate(blocks[1:], start=2):
+        bottom += g[:, i : i + 1] * (u @ b)
+    cand = np.concatenate([scale[:, None] * u, bottom], axis=1)
+    norms = np.linalg.norm(cand, axis=-1)
+    ok = np.isfinite(norms) & (norms > 0.0)
+    return cand[ok] / norms[ok, None]
+
+
+def _projected_eigenspace(family, rng, want):
+    """The earlier proposal: unit rows of y + P_c y, with c unit in R^{m+1} and y standard normal in R^{2l}."""
     c = _unit_rows(rng.standard_normal((want, len(family.system.matrices))))
     y = rng.standard_normal((want, family.ambient_dim))
     py = np.zeros_like(y)
@@ -461,6 +486,11 @@ def test_streamed_clouds_match_whole_batch_reference(block_families, pair):
         assert np.array_equal(cloud.points, _both_clouds(fam, which, 7, 40)[1]), which
 
 
+def _draw_width(family):
+    """Normals per M2 candidate: g in R^{m+1}, then u in R^l."""
+    return family.m1 + 1 + family.system.l
+
+
 class _FifthRowsReplaced:
     """A generator whose normal draws of width len(row) have every 5th row set to ``row``.
 
@@ -498,14 +528,16 @@ def test_compaction_of_dropped_and_rejected_rows(block_families, pair, monkeypat
 
     count = _several_blocks(fam)
     # every 5th draw is a point of M1, where the normal is undefined, or a zero
-    # y, whose eigenspace projection vanishes: both are dropped by the proposal
+    # (g, u), whose candidate is zero: both are dropped by the proposal, and the
+    # zero row raises no floating-point error on the way
     focal = 3.0 * fkm.sample_focal_M1(fam, 1, seed=42).points[0]
-    zero = np.zeros(fam.ambient_dim)
+    zero = np.zeros(_draw_width(fam))
     for which, row in (("level", focal), ("M1", focal), ("M2", zero)):
-        streamed, reference = _both_clouds(
-            fam, which, count, 43, lambda rng: _FifthRowsReplaced(rng, row),
-            lambda: monkeypatch.setattr(fkm, "eval_F", misses_every_7th_row_once()),
-        )
+        with np.errstate(all="raise"):
+            streamed, reference = _both_clouds(
+                fam, which, count, 43, lambda rng: _FifthRowsReplaced(rng, row),
+                lambda: monkeypatch.setattr(fkm, "eval_F", misses_every_7th_row_once()),
+            )
         assert np.array_equal(streamed, reference), which
         assert np.abs(real(fam, streamed) - {"level": 0.2, "M1": 1.0, "M2": -1.0}[which]).max() < 1e-10
 
@@ -568,7 +600,8 @@ def test_transport_allocates_no_unused_block_buffers(block_families):
 
 
 def test_gather_index_reproduces_each_matrix():
-    # the gather of [x | -x] along a P_i's index is x @ P_i, bit for bit
+    # the gather of [x | -x] along a P_i's index is x @ P_i, bit for bit, and that
+    # of [g | u | -g | -u] along B_i^T's half index is u @ B_i, B_i = P_i[:l, l:]
     rng = np.random.default_rng(47)
     checked = 0
     for m in range(1, 18):
@@ -582,6 +615,12 @@ def test_gather_index_reproduces_each_matrix():
             assert len(family._gathers) == m + 1
             for index, p in zip(family._gathers, family.system.matrices):
                 assert np.array_equal(np.take(signed, index, axis=1), x @ p.astype(np.float64)), (m, k)
+            l = family.system.l
+            draws = rng.standard_normal((3, m + 1 + l))
+            signed = np.concatenate([draws, -draws], axis=1)
+            assert len(family._half_gathers) == m
+            for index, p in zip(family._half_gathers, family.system.matrices[1:]):
+                assert np.array_equal(np.take(signed, index, axis=1), draws[:, m + 1 :] @ p[:l, l:]), (m, k)
             checked += 1
     assert checked == 44
 
@@ -594,6 +633,25 @@ def test_family_rejects_a_pair_that_is_not_the_systems():
         with pytest.raises(ValueError, match="does not match the system"):
             FKMFamily(system, pair)
     assert FKMFamily(build_system(4, 2), pair_g4(4, 3)).pair == pair_g4(4, 3)
+
+
+def test_family_refuses_a_system_not_in_block_form():
+    # conjugating build_system(4, 2) by the swap of coordinates 0 and l keeps
+    # every Clifford relation but moves P_0 off diag(I, -I)
+    system = build_system(4, 2)
+    d, l = system.ambient_dim, system.l
+    swap = np.eye(d, dtype=np.int64)[np.r_[l, 1:l, 0, l + 1 : d]]
+    swapped = CliffordSystem.from_matrices(4, l, [swap @ p @ swap.T for p in system.matrices])
+    assert verify_system(swapped).passed
+    with pytest.raises(ValueError, match=r"P_0 is not in block form"):
+        FKMFamily(swapped, pair_g4(4, 3))
+    # P_0's own form in place of P_3 does not swap the two halves
+    perm, sign = system.perm.copy(), system.sign.copy()
+    perm[3], sign[3] = perm[0], sign[0]
+    with pytest.raises(ValueError, match=r"P_3 is not in block form"):
+        FKMFamily(CliffordSystem(4, l, perm, sign), pair_g4(4, 3))
+    with pytest.raises(ValueError, match="has 4 matrices"):
+        FKMFamily(CliffordSystem(4, l, system.perm[:4], system.sign[:4]), pair_g4(4, 3))
 
 
 def test_family_rejects_matrices_that_are_no_signed_permutation():
@@ -747,7 +805,7 @@ def test_sampler_counters_record_drops_and_rejections(block_families, which, mon
 
     monkeypatch.setattr(fkm, "eval_F", misses_every_7th_row_once)
     if which == "M2":
-        target, zero = -1.0, np.zeros(fam.ambient_dim)
+        target, zero = -1.0, np.zeros(_draw_width(fam))
         propose = lambda rng, out: fkm._eigenspace_draws(fam, _FifthRowsReplaced(rng, zero), out)
     else:
         target = 1.0 if which == "M1" else 0.2
@@ -1009,6 +1067,38 @@ def test_sample_focal_M2_parallel_characterization(fam11):
     assert np.linalg.norm(np.cross(z, w), axis=1).max() < 1e-10
 
 
+def test_m2_points_lie_in_the_eigenspace_of_their_own_draw(block_families):
+    # q(x) = c = g/|g| for the g that each row's stream begins with
+    for fam in block_families.values():
+        count, seed = _several_blocks(fam), 67
+        cloud = fkm.sample_focal_M2(fam, count, seed)
+        assert cloud.meta["draws"] == count  # nothing dropped or rejected: row j is draw j
+        draws = np.random.default_rng(np.random.SeedSequence(seed)).standard_normal((count, _draw_width(fam)))
+        g = draws[:, : fam.m1 + 1]
+        c = g / np.linalg.norm(g, axis=-1, keepdims=True)
+        assert np.abs(fkm.quadratic_forms(fam, cloud.points) - c).max() <= 1e-13, fam.pair
+
+
+@pytest.mark.parametrize("pair", [(4, 3), (3, 4), (9, 22)], ids=lambda p: f"{p[0]}-{p[1]}")
+def test_m2_cloud_has_the_law_of_the_projected_proposal(pair):
+    # the unit sphere of E+(P_c) reached from R^l against the normalized
+    # projection y + P_c y of a normal y in R^{2l}: two-sample KS on each q_i
+    # and on coordinates of both halves, p > 1e-4 each (about 30 tests in all)
+    fam = FKMFamily.from_pair(*pair)
+    count, d, l = 20_000, fam.ambient_dim, fam.system.l
+    new = fkm.sample_focal_M2(fam, count, seed=70).points
+    old = _reference_sample(fam, count, 80, 1e-10, -1.0,
+                            lambda rng, want: _projected_eigenspace(fam, rng, want))
+    q_new, q_old = fkm.quadratic_forms(fam, new), fkm.quadratic_forms(fam, old)
+    samples = [(q_new[:, i], q_old[:, i]) for i in range(fam.m1 + 1)]
+    samples += [(new[:, j], old[:, j]) for j in (0, l, d - 1)]
+    assert min(ks_2samp(a, b).pvalue for a, b in samples) > 1e-4
+    # E[x x^T] = E_c[(I + P_c) / 2] / l = I / d, entry by entry within 5 standard errors
+    second = new.T @ new / count
+    se = np.sqrt((np.square(new).T @ np.square(new) / count - second**2) / count)
+    assert np.abs((second - np.eye(d) / d) / se).max() < 5.0
+
+
 # -- normals and shape operator ---------------------------------------------------
 
 
@@ -1135,3 +1225,32 @@ def test_point_cloud_leaves_the_callers_array_writeable():
     cloud = fkm.PointCloud(a, 0.0, 1, 1e-10)
     assert a.flags.writeable and not cloud.points.flags.writeable
     assert np.shares_memory(a, cloud.points)  # a view, not a copy
+
+
+# -- seeded clouds --------------------------------------------------------------------------
+
+
+SEEDED_FAMILIES = [((1, 1), 25_000), ((4, 3), 25_000), ((8, 7), 25_000), ((9, 22), 25_000),
+                   ((12, 51), 5_000), ((16, 111), 5_000)]
+
+
+def test_seeded_m2_clouds_keep_their_digests():
+    # 18 clouds, seeds 1-3, hashed in the order family, seed: the points' bytes,
+    # and json.dumps(sidecar, sort_keys=True).  The proposal uses only +, *, /,
+    # sqrt and gathers, so the bits do not depend on the platform's libm
+    points, sidecars = hashlib.sha256(), hashlib.sha256()
+    for pair, count in SEEDED_FAMILIES:
+        fam = FKMFamily.from_pair(*pair)
+        for seed in (1, 2, 3):
+            cloud = fkm.sample_focal_M2(fam, count, seed)
+            points.update(cloud.points.tobytes())
+            sidecars.update(json.dumps(cloud.sidecar(), sort_keys=True).encode())
+    assert points.hexdigest() == "178a0a13ee03adc20a8ccb3744bc1575e86027c1c45f3c60ce61cdaf2294c25f"
+    assert sidecars.hexdigest() == "0bf504b9f12ff702b5af2951039f5374ed133351bc6aab2bdfaecd4c0f6a9583"
+
+
+def test_m2_clouds_record_their_proposal(fam11, tmp_path):
+    cloud = fkm.sample_focal_M2(fam11, 5, seed=68)
+    cloud.save(tmp_path / "m2.csv")
+    assert cloud.meta["proposal"] == json.loads((tmp_path / "m2.json").read_text())["proposal"] == "half_space"
+    assert "proposal" not in fkm.sample_focal_M1(fam11, 5, seed=68).meta

@@ -35,8 +35,9 @@ error of h stays a few ulp at any x, and a Beta function with a large
 argument goes through h too, so no bound grows with m2.  G and K_1..K_4
 are also integrated numerically once each (``quad``, adaptive Gauss-Legendre
 in numpy), and ``dual_agreement`` reports how far quadrature and closed form
-are apart.  The quadrature tolerance is relative only, so its error bounds
-scale with G and K_alpha however small they get.
+are apart; K_2 and K_3 have no closed form yet, so theirs is None (JSON
+null).  The quadrature tolerance is relative only, so its error bounds scale
+with G and K_alpha however small they get.
 """
 
 from __future__ import annotations
@@ -245,16 +246,23 @@ def threshold_A(pair: MultiplicityPair) -> AValue:
 
 @dataclass(frozen=True)
 class IntegralValue:
-    """A certified integral: authoritative value, error bound, and the quadrature."""
+    """A certified integral: authoritative value, error bound, and the quadrature.
+
+    ``closed_form`` is False where the quadrature is the only route, so that
+    ``value`` is the quadrature itself.
+    """
 
     value: float
     error_bound: float
     quadrature: float
     quadrature_error: float
+    closed_form: bool = True
 
     @property
-    def dual_agreement(self) -> float:
-        """Relative difference between the closed-form and quadrature routes."""
+    def dual_agreement(self) -> float | None:
+        """Relative difference between the closed-form and quadrature routes; None with one route."""
+        if not self.closed_form:
+            return None
         scale = max(abs(self.value), abs(self.quadrature), 1e-300)
         return abs(self.value - self.quadrature) / scale
 
@@ -326,7 +334,7 @@ def integral_K(pair: MultiplicityPair, alpha: int) -> IntegralValue:
     qerr = sin2 * qerr + abs(qval) * 1e-13
     if end:
         return IntegralValue(*_k_end(m_in, m_out, sin2), qval, qerr)
-    return IntegralValue(qval, qerr, qval, qerr)
+    return IntegralValue(qval, qerr, qval, qerr, closed_form=False)
 
 
 # -- hypersurface certificates ----------------------------------------------------

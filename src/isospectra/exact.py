@@ -29,10 +29,12 @@ _MAX_PREC = 8192
 def _split_square(n: int) -> tuple[int, int]:
     """Return (s, r) with n = s*s*r and r square-free, in O(n^(1/3)) divisions.
 
-    Every f with f^3 <= the remaining cofactor c is divided out, its exponent's
-    parity going to r and the rest to s.  Then c has no prime factor below
-    c^(1/3), so it is 1, p, p^2 or p*q for primes p != q, and it is a square
-    exactly when isqrt(c)^2 == c.  n = 0 gives (1, 0).
+    Every f in 2, 3, 5, 7, 9, ... with f^3 <= the remaining cofactor c is
+    divided out, its exponent's parity going to r and the rest to s; an odd
+    composite f divides nothing, since its prime factors are already out.
+    Then c has no prime factor below c^(1/3), so it is 1, p, p^2 or p*q for
+    primes p != q, and it is a square exactly when isqrt(c)^2 == c.
+    n = 0 gives (1, 0).
     """
     if n < 0:
         raise ValueError("radicand must be nonnegative")
@@ -46,7 +48,7 @@ def _split_square(n: int) -> tuple[int, int]:
             e += 1
         s *= f ** (e // 2)
         r *= f ** (e % 2)
-        f += 1
+        f += 1 if f == 2 else 2
     root = math.isqrt(c)
     if root * root == c:
         return s * root, r

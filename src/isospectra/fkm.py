@@ -12,10 +12,15 @@ submanifolds.  F satisfies |grad F|^2 = 16 |x|^6 and
 Lap F = 8 (m2 - m1) |x|^2, which the tests exercise as independent oracles.
 
 The Clifford relations P_i P_j + P_j P_i = 2 delta_ij I give
-<P_i x, P_j x> = delta_ij |x|^2, so one pass that forms each P_i x in turn
-yields r = |x|^2, q_i = <P_i x, x> and grad F = 4 r x - 8 sum_i q_i P_i x at
-once; F, the spherical gradient, the normal and the samplers' normal-geodesic
-transport derive from that one pass.
+<P_i x, P_j x> = delta_ij |x|^2.  Every family is in the block form of
+Ferus-Karcher-Münzner (1981), P_0 = diag(I, -I) and P_i = [[0, B_i],
+[B_i^T, 0]] for i >= 1 on R^l + R^l, so for x = (a, b) the forms read from
+half the coordinates: r = |x|^2 = |a|^2 + |b|^2, q_0 = <P_0 x, x> =
+|a|^2 - |b|^2 and, for i >= 1, q_i = <B_i b, a> + <B_i^T a, b> = 2 <a, B_i b>,
+since <B_i^T a, b> = <a, B_i b>.  B_i b is the top half of P_i x.  One pass
+that forms each P_i x in turn yields r, q and grad F = 4 r x - 8 sum_i q_i P_i x
+at once; F, the spherical gradient, the normal and the samplers'
+normal-geodesic transport derive from that one pass.
 
 Every kernel walks the rows in cache-sized blocks, feature-major: a block's
 [x | -x] is transposed once into a (2d, rows) array.  The system stores each
@@ -24,11 +29,12 @@ family derives from those arrays one index per P_i into the rows of the block,
 and P_i x is one gather of whole contiguous rows, signs included, O(d) per
 point at every ambient dimension.  Each entry of P_i x is one entry of x times
 +-1, so the gather gives the same bits as a product with the dense matrix.  The
-sums over a point's coordinates (|x|^2, each q_i, the norms) run down the
-block's columns in numpy's pairwise row-sum order (``_row_sums``), and every
-elementwise step is the same operation on the same operands, so each output
-equals, bit for bit, what row-major numpy code gives.  ``eval_F`` takes q from
-``quadratic_forms`` and sums |x|^2 and sum_i q_i^2 row-major, with numpy itself.
+sums over a point's coordinates (|a|^2, |b|^2, each <a, B_i b>, the norms)
+run down the block's columns in numpy's pairwise row-sum order
+(``_row_sums``), and every elementwise step is the same operation on the same
+operands, so each output equals, bit for bit, what row-major numpy code gives.
+``eval_F`` takes q from ``quadratic_forms`` and sums r = |a|^2 + |b|^2 and
+sum_i q_i^2 row-major, with numpy itself.
 
 Shape operators are exact: they come from the closed-form Hessian
 Hess F = 4 r I + 8 x x^T - 8 sum_i (2 P_i x (P_i x)^T + q_i P_i), restricted
@@ -288,22 +294,52 @@ def _drawn_ahead(rng, x: np.ndarray):
         pool.shutdown(cancel_futures=True)
 
 
+def _forms(family: FKMFamily, signed: np.ndarray, q: np.ndarray, px: np.ndarray, tmp: np.ndarray):
+    """The forms of one feature-major block in block form, one gather at a time.
+
+    ``signed`` is the block's (2d, n) [x | -x] from ``_feature_blocks``, with
+    x = (a, b) and a, b in R^l.  A generator: it writes q_0 = |a|^2 - |b|^2
+    into q[0] and yields r = |a|^2 + |b|^2; then, for i = 1..m, it gathers the
+    first len(px) rows of P_i x into px, writes q_i = 2 <a, B_i b> into q[i]
+    and yields q[i].  P_i x = (B_i b, B_i^T a) and <B_i^T a, b> = <a, B_i b>
+    give that q_i; B_i b is the top half of P_i x, so px may hold l rows (the
+    forms alone) or d (all of P_i x, for the gradient).  tmp is (d, n) scratch.
+    """
+    x = signed[: len(signed) // 2]
+    l = len(x) // 2
+    a = x[:l]
+    squares = np.multiply(x, x, out=tmp)
+    a2, b2 = _row_sums(squares[:l]), _row_sums(squares[l:])
+    np.subtract(a2, b2, out=q[0])
+    yield a2 + b2
+    for index, qi in zip(family._gathers[1:], q[1:]):
+        # mode="clip" lets np.take write straight into px ("raise" buffers)
+        np.take(signed, index[: len(px)], axis=0, out=px, mode="clip")
+        np.multiply(_row_sums(np.multiply(px[:l], a, out=tmp[:l])), 2.0, out=qi)
+        yield qi
+
+
 def _block_forms(family: FKMFamily, signed: np.ndarray, q: np.ndarray, grad: np.ndarray,
                  px: np.ndarray, tmp: np.ndarray) -> np.ndarray:
-    """r = |x|^2, q_i = <P_i x, x> and grad F = 4 r x - 8 sum_i q_i P_i x of one feature-major block.
+    """r, q (``_forms``) and grad F = 4 r x - 8 sum_i q_i P_i x of one feature-major block.
 
-    ``signed`` is the block's (2d, n) [x | -x] from ``_feature_blocks``; q
-    (m+1, n) and grad (d, n) receive the forms and the gradient, and px and
-    tmp are (d, n) scratch.  Returns r.  One gather per P_i, held one at a
-    time; grad accumulates over i = 0..m in that order.
+    In block form r = |a|^2 + |b|^2, q_0 = |a|^2 - |b|^2 and q_i = 2 <a, B_i b>
+    for x = (a, b), since P_0 x = (a, -b), P_i x = (B_i b, B_i^T a) and
+    <B_i^T a, b> = <a, B_i b>.  q (m+1, n) and grad (d, n) receive the forms
+    and the gradient, and px and tmp are (d, n) scratch.  Returns r.  Each
+    P_i x, i >= 1, is gathered whole, since the gradient needs it, but its
+    form multiplies and sums only the top half B_i b; P_0 x is taken from x
+    itself.  grad accumulates over i = 0..m in that order.
     """
     x = signed[: len(grad)]
-    r = _row_sums(np.multiply(x, x, out=tmp))
+    l = len(x) // 2
+    forms = _forms(family, signed, q, px, tmp)
+    r = next(forms)
     np.multiply(4.0 * r, x, out=grad)
-    for index, qi in zip(family._gathers, q):
-        # mode="clip" lets np.take write straight into px ("raise" buffers)
-        np.take(signed, index, axis=0, out=px, mode="clip")
-        qi[...] = _row_sums(np.multiply(px, x, out=tmp))
+    step = 8.0 * q[0]
+    grad[:l] -= np.multiply(step, x[:l], out=tmp[:l])
+    grad[l:] += np.multiply(step, x[l:], out=tmp[:l])  # minus 8 q_0 (-b)
+    for qi in forms:
         px *= 8.0 * qi
         grad -= px
     return r
@@ -325,28 +361,41 @@ def _forms_and_gradient(family: FKMFamily, x: np.ndarray):
 
 
 def quadratic_forms(family: FKMFamily, x) -> np.ndarray:
-    """<P_i x, x> for i = 0..m, stacked along the last axis."""
+    """q_i = <P_i x, x> for i = 0..m, stacked along the last axis.
+
+    For x = (a, b) in block form q_0 = |a|^2 - |b|^2 and q_i = 2 <a, B_i b>
+    for i >= 1, since P_i x = (B_i b, B_i^T a) and <B_i^T a, b> = <a, B_i b>
+    (``_forms``): m gathers, products and sums of width l per block.
+    """
     x = _check_dim(family, x)
     flat = x.reshape(-1, x.shape[-1])
-    d = flat.shape[1]
+    l = flat.shape[1] // 2
     q = np.empty((len(flat), len(family._gathers)))
-    for rows, signed, px in _feature_blocks(flat, d):
-        for i, index in enumerate(family._gathers):
-            np.take(signed, index, axis=0, out=px, mode="clip")
-            q[rows, i] = _row_sums(np.multiply(px, signed[:d], out=px))
+    for rows, signed, qb, half, tmp in _feature_blocks(flat, len(family._gathers), l, 2 * l):
+        for _ in _forms(family, signed, qb, half, tmp):
+            pass  # each step writes one form into qb
+        q[rows] = qb.T
     return q.reshape(x.shape[:-1] + q.shape[-1:])
 
 
 def eval_F(family: FKMFamily, x) -> np.ndarray | float:
-    """F(x) = |x|^4 - 2 sum_i <P_i x, x>^2 (homogeneous of degree 4)."""
+    """F(x) = |x|^4 - 2 sum_i <P_i x, x>^2 (homogeneous of degree 4).
+
+    For x = (a, b) in block form q_0 = |a|^2 - |b|^2 and q_i = 2 <a, B_i b>,
+    since <B_i^T a, b> = <a, B_i b>; q comes from ``quadratic_forms``, and
+    |x|^2 is |a|^2 + |b|^2 with each half summed row-major, so F agrees bit
+    for bit with the r and q of the kernels.
+    """
     x = _check_dim(family, x)
     q = quadratic_forms(family, x)
     flat = x.reshape(-1, x.shape[-1])
     flat_q = q.reshape(-1, q.shape[-1])
+    l = flat.shape[1] // 2
     out = np.empty(len(flat))
     # numpy's row-major sums, over row blocks so that no temporary outgrows a block
     for rows in _block_slices(*flat.shape):
-        r = np.add.reduce(np.square(flat[rows]), axis=-1)
+        halves = np.add.reduce(np.square(flat[rows]).reshape(-1, l), axis=-1)  # |a|^2, |b|^2 per row
+        r = halves[0::2] + halves[1::2]
         out[rows] = r**2 - 2.0 * np.add.reduce(np.square(flat_q[rows]), axis=-1)
     out = out.reshape(x.shape[:-1])
     return float(out) if out.ndim == 0 else out

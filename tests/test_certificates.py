@@ -555,6 +555,18 @@ def test_certificates_serialization():
                                "dual_agreement": value.dual_agreement}
 
 
+def test_dual_agreement_is_null_where_quadrature_is_the_only_route():
+    import json
+
+    for m1, m2 in [(2, 2), (4, 5)]:
+        cert = certs.certify_hypersurface(pair_g4(m1, m2))
+        entry = json.loads(certs.certificates_json([cert]))["certificates"][0]
+        assert entry["K"][1]["dual_agreement"] is None and entry["K"][2]["dual_agreement"] is None
+        for written in (entry["G"], entry["K"][0], entry["K"][3]):
+            assert isinstance(written["dual_agreement"], float) and written["dual_agreement"] < 1e-9
+        assert '"dual_agreement": null' in certs.certificates_json([cert])
+
+
 # -- focal certificates --------------------------------------------------------------------
 
 

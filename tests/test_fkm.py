@@ -268,16 +268,24 @@ def test_samplers_make_one_pass_per_batch(fam43, monkeypatch):
 
 
 def _reference_forms(family, x):
-    """r, q and grad F from one dense product x @ P_i per matrix over all rows at once."""
+    """r, q and grad F from dense products over all rows at once, the forms in block form.
+
+    For x = (a, b): r = |a|^2 + |b|^2, q_0 = |a|^2 - |b|^2 and q_i = 2 <a, B_i b>
+    with B_i b = b @ B_i^T, B_i the top right l x l block of P_i; the
+    gradient takes one dense product x @ P_i per matrix.
+    """
     mats = [p.astype(np.float64) for p in family.system.matrices]
-    r = np.sum(x * x, axis=-1)
+    l = family.system.l
+    a, b = x[..., :l], x[..., l:]
+    a2, b2 = np.sum(a * a, axis=-1), np.sum(b * b, axis=-1)
+    r = a2 + b2
     q = np.empty(x.shape[:-1] + (len(mats),))
+    q[..., 0] = a2 - b2
     grad = 4.0 * r[..., None] * x
     for i, p in enumerate(mats):
-        px = x @ p
-        qi = np.sum(px * x, axis=-1)
-        q[..., i] = qi
-        grad -= 8.0 * qi[..., None] * px
+        if i:
+            q[..., i] = 2.0 * np.sum(a * (b @ p[:l, l:].T), axis=-1)
+        grad -= 8.0 * q[..., i, None] * (x @ p)
     return r, q, grad
 
 
@@ -311,6 +319,23 @@ def test_blocked_kernels_bit_identical(block_families, pair):
         assert np.array_equal(fkm.quadratic_forms(fam, x), q)
         assert np.array_equal(fkm.grad_F(fam, x), grad)
         assert np.array_equal(fkm.eval_F(fam, x), r**2 - 2.0 * np.sum(q * q, axis=-1))
+
+
+@pytest.mark.parametrize("pair", BLOCK_PAIRS + WIDE_PAIRS, ids=lambda p: f"{p[0]}-{p[1]}")
+def test_block_forms_equal_the_full_width_forms(block_families, pair):
+    # in block form <P_0 x, x> = |a|^2 - |b|^2 and <P_i x, x> = 2 <a, B_i b> for
+    # x = (a, b); the kernels' forms match sum(x * (x @ P_i)) to rounding
+    fam = block_families.get(pair) or FKMFamily.from_pair(*pair)
+    mats = [p.astype(np.float64) for p in fam.system.matrices]
+    rng = np.random.default_rng(71)
+    d = fam.ambient_dim
+    rows = rng.standard_normal((300, d)) * rng.uniform(0.1, 10.0, size=(300, 1))
+    for x in (rows, rng.standard_normal(d), np.zeros((0, d))):
+        full = np.stack([np.sum(x * (x @ p), axis=-1) for p in mats], axis=-1)
+        bound = 8.0 * np.finfo(float).eps * np.sum(x * x, axis=-1)[..., None]
+        for q in (fkm.quadratic_forms(fam, x), fkm._forms_and_gradient(fam, x)[1]):
+            assert q.shape == full.shape
+            assert np.all(np.abs(q - full) <= bound)
 
 
 def _special_columns(d):
@@ -1246,7 +1271,7 @@ def test_seeded_m2_clouds_keep_their_digests():
             points.update(cloud.points.tobytes())
             sidecars.update(json.dumps(cloud.sidecar(), sort_keys=True).encode())
     assert points.hexdigest() == "178a0a13ee03adc20a8ccb3744bc1575e86027c1c45f3c60ce61cdaf2294c25f"
-    assert sidecars.hexdigest() == "0bf504b9f12ff702b5af2951039f5374ed133351bc6aab2bdfaecd4c0f6a9583"
+    assert sidecars.hexdigest() == "1a1f4c636bda571a4c7d18ad89b27568bec0d5e73363ed0ec7cfc0d2a94c7850"
 
 
 def test_m2_clouds_record_their_proposal(fam11, tmp_path):

@@ -19,8 +19,9 @@ All matrices are signed permutations, stored only as (perm, sign) index arrays
 with (P_i x)_r = sign_r x_{perm_r}.  ``build_system`` composes them (a Kronecker
 product is index arithmetic) and ``verify_system`` checks every identity on
 them: integer arithmetic, O(m^2 d), no dense matrix and no floating point.
-Dense int64 matrices exist only through ``matrices`` and ``from_matrices``;
-the JSON text (schema 2) holds the two arrays as lists.
+A system is its two arrays, of shape (m + 1, 2l).  Dense int64 matrices exist
+only through ``matrices`` and ``from_matrices(matrices)``; the JSON text
+(schema 2) holds m, l and the two arrays as lists.
 """
 
 from __future__ import annotations
@@ -131,24 +132,21 @@ class CliffordSystem:
     """m+1 symmetric matrices on R^{2l} with P_i P_j + P_j P_i = 2 delta_ij I.
 
     Row r of P_i has its one nonzero entry, ``sign[i, r]`` = +-1, in column
-    ``perm[i, r]``.  Construction keeps read-only int64 copies and raises
-    ValueError naming the first P_i that is no signed permutation.
+    ``perm[i, r]``; m and l are read off the arrays' shape (m + 1, 2l).
+    Construction keeps read-only int64 copies and raises ValueError for no
+    matrix, an odd row width, or naming the first P_i that is no signed
+    permutation.
     """
 
-    m: int
-    l: int
     perm: np.ndarray
     sign: np.ndarray
 
     def __post_init__(self):
-        n = self.ambient_dim
         perm, sign = np.asarray(self.perm), np.asarray(self.sign)
-        if not (perm.ndim == 2 and perm.shape == sign.shape and perm.shape[1] == n):
-            raise ValueError(f"perm and sign must have shape (count, {n}), got {perm.shape} and {sign.shape}")
+        if not (perm.ndim == 2 and perm.shape == sign.shape and len(perm) and perm.shape[1] % 2 == 0):
+            raise ValueError(f"perm and sign must have one shape (m + 1, 2l), got {perm.shape} and {sign.shape}")
         # checked before the cast to int64, so that no value is rounded into range
-        valid = (np.abs(sign) == 1).all(axis=1)
-        if len(perm):  # without matrices, nothing of length 2l is allocated
-            valid &= (np.sort(perm, axis=1) == np.arange(n)).all(axis=1)
+        valid = (np.abs(sign) == 1).all(axis=1) & (np.sort(perm, axis=1) == np.arange(perm.shape[1])).all(axis=1)
         if not valid.all():
             raise ValueError(f"P_{int(np.argmin(valid))} is not a signed permutation")
         for name, a in (("perm", perm), ("sign", sign)):
@@ -159,16 +157,23 @@ class CliffordSystem:
     def __eq__(self, other):
         if not isinstance(other, CliffordSystem):
             return NotImplemented
-        return ((self.m, self.l) == (other.m, other.l)
-                and np.array_equal(self.perm, other.perm) and np.array_equal(self.sign, other.sign))
+        return np.array_equal(self.perm, other.perm) and np.array_equal(self.sign, other.sign)
 
     def __hash__(self):
         # the arrays are read-only, so the hash cannot go stale
-        return hash((self.m, self.l, self.perm.tobytes(), self.sign.tobytes()))
+        return hash((self.perm.tobytes(), self.sign.tobytes()))
+
+    @property
+    def m(self) -> int:
+        return len(self.perm) - 1
+
+    @property
+    def l(self) -> int:
+        return self.perm.shape[1] // 2
 
     @property
     def ambient_dim(self) -> int:
-        return 2 * self.l
+        return self.perm.shape[1]
 
     @cached_property
     def matrices(self) -> tuple[np.ndarray, ...]:
@@ -181,11 +186,12 @@ class CliffordSystem:
         return mats
 
     @staticmethod
-    def from_matrices(m: int, l: int, matrices) -> "CliffordSystem":
-        """The system of dense matrices; ValueError names a P_i that is misshapen or no signed permutation."""
-        n = 2 * l
+    def from_matrices(matrices) -> "CliffordSystem":
+        """The system of the dense P_i; ValueError names a P_i not of P_0's shape or no signed permutation."""
+        matrices = [np.asarray(p) for p in matrices]
+        n = matrices[0].shape[0] if matrices and matrices[0].ndim else 0
         perms, signs = [], []
-        for i, p in enumerate(map(np.asarray, matrices)):
+        for i, p in enumerate(matrices):
             if p.shape != (n, n):
                 raise ValueError(f"P_{i} has shape {p.shape}, expected {(n, n)}")
             # n nonzeros in all; construction then requires each row's largest to be +-1
@@ -193,7 +199,7 @@ class CliffordSystem:
                 raise ValueError(f"P_{i} is not a signed permutation")
             perms.append(np.abs(p).argmax(axis=1))
             signs.append(p[np.arange(n), perms[-1]])
-        return CliffordSystem(m, l, np.reshape(perms, (len(perms), n)), np.reshape(signs, (len(signs), n)))
+        return CliffordSystem(np.reshape(perms, (len(perms), n)), np.reshape(signs, (len(signs), n)))
 
     def to_json(self) -> str:
         """Schema 2: ``m``, ``l`` and the stored ``perm`` and ``sign``, one list of 2l ints per P_i."""
@@ -214,8 +220,8 @@ class CliffordSystem:
                 raise ValueError(f"Clifford JSON {key} must be an int >= 1, got {value!r}")
         n = 2 * data["l"]
         perm, sign = data.get("perm"), data.get("sign")
-        if not (isinstance(perm, list) and isinstance(sign, list) and len(perm) == len(sign)):
-            raise ValueError("Clifford JSON perm and sign must be lists of equal length")
+        if not (isinstance(perm, list) and isinstance(sign, list) and len(perm) == len(sign) == data["m"] + 1):
+            raise ValueError(f"Clifford JSON perm and sign must be lists of equal length m + 1 = {data['m'] + 1}")
         # type(), not isinstance(): numpy would read a JSON true or false as 1 or 0
         if not (all(isinstance(row, list) and len(row) == n for row in perm + sign)
                 and set(map(type, itertools.chain(*perm, *sign))) <= {int}):
@@ -224,7 +230,7 @@ class CliffordSystem:
             perm, sign = (np.array(a, dtype=np.int64).reshape(len(a), n) for a in (perm, sign))
         except OverflowError:
             raise ValueError("Clifford JSON perm and sign must hold only int64 integers") from None
-        return CliffordSystem(data["m"], data["l"], perm, sign)
+        return CliffordSystem(perm, sign)
 
 
 def build_system(m: int, k: int) -> CliffordSystem:
@@ -246,7 +252,7 @@ def build_system(m: int, k: int) -> CliffordSystem:
         raise AssertionError(f"generator dimension {k * dim} != k*delta(m) = {l}")
     eye = np.arange(k), np.ones(k, dtype=np.int64)  # k block-diagonal copies of each generator
     forms = _block_system([_kron(eye, g) for g in gens], l)
-    return CliffordSystem(m, l, np.stack([p for p, _ in forms]), np.stack([s for _, s in forms]))
+    return CliffordSystem(np.stack([p for p, _ in forms]), np.stack([s for _, s in forms]))
 
 
 # -- verification ----------------------------------------------------------------
@@ -264,19 +270,16 @@ class VerificationReport:
 def verify_system(system: CliffordSystem) -> VerificationReport:
     """Exact integer check of all Clifford-system identities.
 
-    Checks, in order: m + 1 matrices; each P_i symmetric and of zero trace;
+    Checks, in order: each P_i symmetric and of zero trace;
     P_i P_j + P_j P_i = 2 delta_ij I for all 0 <= i <= j.  A degenerate
     single-matrix system (m = 0) is accepted when P_0^2 = I.  Every check is
     index arithmetic on the stored ``(perm, sign)``, which construction has
-    already made signed permutations of the right size: O(m^2 d) in all, with
-    no matrix product and no dense matrix.
+    already made signed permutations: O(m^2 d) in all, with no matrix product
+    and no dense matrix.
     """
     n = system.ambient_dim
     ident = np.arange(n)
-    count = len(system.perm)
     failures: list[str] = []
-    if count != system.m + 1:
-        failures.append(f"expected m + 1 = {system.m + 1} matrices, got {count}")
     forms = list(enumerate(zip(system.perm, system.sign)))
     for i, (perm, sign) in forms:
         if not (np.array_equal(perm[perm], ident) and np.array_equal(sign[perm], sign)):
@@ -294,5 +297,5 @@ def verify_system(system: CliffordSystem) -> VerificationReport:
         if not holds:
             kind = "square" if i == j else "anticommutator"
             failures.append(f"{kind} identity violated at (P_{i}, P_{j})")
-    checks = count * (count + 3) // 2  # one per matrix, one per pair i <= j
+    checks = (system.m + 1) * (system.m + 4) // 2  # one per matrix, one per pair i <= j
     return VerificationReport(passed=not failures, checks=checks, failures=tuple(failures))

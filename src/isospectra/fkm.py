@@ -108,16 +108,16 @@ _BLOCK_ELEMENTS = 2**15
 
 @dataclass(frozen=True)
 class FKMFamily:
-    """A Clifford system in block form, its multiplicity pair (m, l-m-1) and its gather indices."""
+    """The family of a Clifford system in block form, with its pair (m, l-m-1) and gather indices derived from it."""
 
     system: CliffordSystem
-    pair: MultiplicityPair
+    pair: MultiplicityPair = field(init=False, compare=False)
     _gathers: tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False)
     _half_gathers: tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        """Derive the gather indices; ValueError when the pair is not (m, l-m-1) of the system
-        or the system is not in block form.
+        """Derive the pair and the gather indices; InvalidPairError when m2 = l - m - 1 <= 0,
+        ValueError when the system is not in block form.
 
         Block form, as ``build_system`` makes it, is P_0 = diag(I, -I) and
         P_i = [[0, B_i], [B_i^T, 0]] for i >= 1 on R^l + R^l.  Row r of P_i x
@@ -128,15 +128,11 @@ class FKMFamily:
         R^{m+1} and u in R^l (``_eigenspace_draws``).
         """
         m, l = self.system.m, self.system.l
-        if (self.pair.g, self.pair.m1, self.pair.m2) != (4, m, l - m - 1):
-            raise ValueError(
-                f"pair (g, m1, m2) = ({self.pair.g}, {self.pair.m1}, {self.pair.m2}) does not "
-                f"match the system: m = {m}, l = {l} give (4, {m}, {l - m - 1})"
-            )
+        if l - m - 1 < 1:
+            raise InvalidPairError(f"(m, l) = ({m}, {l}) gives m2 = {l - m - 1} <= 0; no isoparametric family")
+        object.__setattr__(self, "pair", MultiplicityPair(4, m, l - m - 1))
         perm, sign = self.system.perm, self.system.sign
         d, w = self.system.ambient_dim, m + 1 + l
-        if len(perm) != m + 1:
-            raise ValueError(f"the system has {len(perm)} matrices, m + 1 = {m + 1} expected")
         block = (perm[:, :l] >= l).all(axis=1) & (perm[:, l:] < l).all(axis=1)
         block[0] = np.array_equal(perm[0], np.arange(d)) and np.array_equal(sign[0], np.repeat([1, -1], l))
         if not block.all():
@@ -163,13 +159,7 @@ class FKMFamily:
 
     @staticmethod
     def from_representation(m: int, k: int) -> "FKMFamily":
-        system = build_system(m, k)
-        m2 = system.l - m - 1
-        if m2 < 1:
-            raise InvalidPairError(
-                f"(m, k) = ({m}, {k}) gives m2 = {m2} <= 0; no isoparametric family"
-            )
-        return FKMFamily(system, MultiplicityPair(4, m, m2))
+        return FKMFamily(build_system(m, k))
 
     @staticmethod
     def from_pair(m1: int, m2: int) -> "FKMFamily":
@@ -474,8 +464,10 @@ class PointCloud:
         }
 
     def save(self, csv_path: str | Path) -> None:
-        """Row-major coordinates as CSV plus a JSON sidecar next to it."""
+        """Row-major coordinates as CSV plus a JSON sidecar next to it; ValueError, before writing, for a .json path."""
         csv_path = Path(csv_path)
+        if csv_path.with_suffix(".json") == csv_path:
+            raise ValueError(f"{csv_path} is the sidecar's own path; save the CSV under another suffix")
         np.savetxt(csv_path, self.points, fmt="%.17g", delimiter=",", newline="\r\n")
         with open(csv_path.with_suffix(".json"), "w") as fh:
             json.dump(self.sidecar(), fh, indent=2, sort_keys=True)
@@ -744,7 +736,7 @@ def shape_operator_spectrum(family: FKMFamily, x) -> ShapeSpectrum:
     if x.ndim != 1:
         raise ValueError("shape_operator_spectrum expects a single point")
     r, q, grad = _forms_and_gradient(family, x)
-    f = float(r * r - 2.0 * np.dot(q, q))
+    f = float(r * r - 2.0 * np.sum(q * q))  # eval_F's sum; BLAS's dot may differ in the last bit
     g = grad - 4.0 * f * x
     g_norm = np.linalg.norm(g)
     if g_norm < _FOCAL_GRAD_CUTOFF or not abs(f) < 1.0:

@@ -207,13 +207,14 @@ def test_entries_are_signed_permutations():
 
 def test_degenerate_single_matrix_accepted():
     base = build_system(1, 2)
-    single = CliffordSystem.from_matrices(0, base.l, (base.matrices[0],))
+    single = CliffordSystem.from_matrices((base.matrices[0],))
+    assert (single.m, single.l) == (0, base.l)
     assert verify_system(single).passed
 
 
 def test_corrupted_system_fails_at_duplicate_index():
     sys = build_system(2, 1)
-    corrupted = CliffordSystem.from_matrices(sys.m, sys.l, (sys.matrices[0], sys.matrices[0], sys.matrices[2]))
+    corrupted = CliffordSystem.from_matrices((sys.matrices[0], sys.matrices[0], sys.matrices[2]))
     report = verify_system(corrupted)
     assert not report.passed
     assert any("(P_0, P_1)" in f for f in report.failures)
@@ -223,31 +224,37 @@ def test_wrong_shape_reported():
     sys = build_system(2, 1)
     bad = np.eye(3, dtype=np.int64)
     with pytest.raises(ValueError, match=r"^P_2 has shape \(3, 3\), expected \(4, 4\)$"):
-        CliffordSystem.from_matrices(sys.m, sys.l, (*sys.matrices[:2], bad))
-    # the arrays given directly: one row of length 2l per P_i, each a signed permutation
-    with pytest.raises(ValueError, match=r"shape \(count, 4\)"):
-        CliffordSystem(sys.m, sys.l, sys.perm[:, :3], sys.sign[:, :3])
+        CliffordSystem.from_matrices((*sys.matrices[:2], bad))
+    # the arrays given directly: m + 1 >= 1 rows of one even length 2l, each a signed permutation
+    for perm, sign in ((sys.perm[:, :3], sys.sign[:, :3]), (sys.perm[:0], sys.sign[:0]),
+                       (sys.perm, sys.sign[:2]), (sys.perm[0], sys.sign[0])):
+        with pytest.raises(ValueError, match=r"one shape \(m \+ 1, 2l\), got"):
+            CliffordSystem(perm, sign)
+    with pytest.raises(ValueError, match=r"^P_0 has shape \(\), expected \(0, 0\)$"):
+        CliffordSystem.from_matrices([np.int64(1)])
+    for matrices in ((), (np.eye(3, dtype=np.int64),)):
+        with pytest.raises(ValueError, match=r"one shape \(m \+ 1, 2l\)"):
+            CliffordSystem.from_matrices(matrices)
     for perm, sign in ((sys.perm, 2 * sys.sign), (sys.perm % 3, sys.sign), (sys.perm, 1.5 * sys.sign)):
         with pytest.raises(ValueError, match="^P_0 is not a signed permutation$"):
-            CliffordSystem(sys.m, sys.l, perm, sign)
+            CliffordSystem(perm, sign)
 
 
-def test_wrong_matrix_count_reported():
-    sys = build_system(2, 1)
-    for system in (
-        CliffordSystem.from_matrices(2, sys.l, sys.matrices[:2]),
-        CliffordSystem.from_matrices(5, sys.l, sys.matrices),
-    ):
-        report = verify_system(system)
-        assert not report.passed
-        expected = f"expected m + 1 = {system.m + 1} matrices, got {len(system.matrices)}"
-        assert report.failures == (expected,)
-        assert report.checks == _reference_verify(system.m, system.l, system.matrices).checks
+def test_from_json_refuses_an_m_other_than_the_row_count_less_one():
+    data = json.loads(build_system(2, 1).to_json())
+    # m, and the count of rows it implies, disagree with the arrays
+    for m, rows in ((2, 2), (2, 1), (5, 3), (1, 3)):
+        text = json.dumps({**data, "m": m, "perm": data["perm"][:rows], "sign": data["sign"][:rows]})
+        with pytest.raises(ValueError, match=f"^Clifford JSON perm .* lists of equal length m \\+ 1 = {m + 1}$"):
+            CliffordSystem.from_json(text)
+    # a document without matrices, whose l would otherwise size an identity of 2l entries
+    with pytest.raises(ValueError, match="lists of equal length m \\+ 1 = 3"):
+        CliffordSystem.from_json(json.dumps({**data, "l": 10**6, "perm": [], "sign": []}))
 
 
 def test_wrong_trace_reported():
     bad = np.eye(4, dtype=np.int64)
-    report = verify_system(CliffordSystem.from_matrices(0, 2, (bad,)))
+    report = verify_system(CliffordSystem.from_matrices((bad,)))
     assert not report.passed
     assert any("trace" in f for f in report.failures)
 
@@ -278,9 +285,8 @@ def test_systems_compare_and_hash_by_value():
     system, same, other = build_system(4, 2), build_system(4, 2), build_system(4, 1)
     assert system == same and not system != same and hash(system) == hash(same)
     assert system != other and other != system and system != 3
-    # the same arrays under another m, and the same m and l with every sign flipped
-    assert system != CliffordSystem(5, system.l, system.perm, system.sign)
-    assert system != CliffordSystem(system.m, system.l, system.perm, -system.sign)
+    # the same perm with every sign flipped
+    assert system != CliffordSystem(system.perm, -system.sign)
     assert {system, same, other} == {system, other} and same in {system}
     assert CliffordSystem.from_json(system.to_json()) == system
     family = fkm.FKMFamily.from_pair(4, 3)
@@ -353,12 +359,6 @@ def test_from_json_rejects_bad_input():
     for key, value in bad:
         with pytest.raises(ValueError, match="^P_1 is not a signed permutation$"):
             CliffordSystem.from_json(_edited(data, key, 1, 0, value))
-    # a count other than m + 1 is read, and verify_system reports it
-    short = CliffordSystem.from_json(json.dumps({**data, "perm": data["perm"][:1], "sign": data["sign"][:1]}))
-    assert verify_system(short).failures == ("expected m + 1 = 3 matrices, got 1",)
-    # so is a document without matrices, whose l then sizes nothing
-    empty = CliffordSystem.from_json(json.dumps({**data, "l": 10**12, "perm": [], "sign": []}))
-    assert empty.perm.shape == empty.sign.shape == (0, 2 * 10**12)
 
 
 _JSON = st.recursive(
@@ -408,7 +408,7 @@ def test_from_json_reads_or_refuses_any_single_edit(edit):
     _read_or_refuse(_VALID_TEXT[:at] + text + _VALID_TEXT[at + removed:])
 
 
-def _reference_verify(m: int, l: int, mats) -> VerificationReport:
+def _reference_verify(l: int, mats) -> VerificationReport:
     """The dense verifier: every identity of dense matrices by matrix products, O(m^2 d^3).
 
     The products run in float64, where they are exact: the entries are
@@ -418,8 +418,6 @@ def _reference_verify(m: int, l: int, mats) -> VerificationReport:
     eye = np.eye(n)
     failures: list[str] = []
     checks = 0
-    if len(mats) != m + 1:
-        failures.append(f"expected m + 1 = {m + 1} matrices, got {len(mats)}")
     for i, p in enumerate(mats):
         checks += 1
         if p.shape != (n, n):
@@ -478,15 +476,15 @@ def test_verify_matches_dense_reference():
         # an entry 2 and a zeroed row do not, and are refused before any verification
         kept = (True, True, False, True, True, False)
         for mats, signed in zip([sys.matrices, *_corruptions(sys, rng)], kept):
-            want = _reference_verify(sys.m, sys.l, mats)
+            want = _reference_verify(sys.l, mats)
             assert want.passed == (mats is sys.matrices), (m, k)
             assert all(_is_signed_permutation(p) for p in mats) == signed, (m, k)
             if signed:
-                got = verify_system(CliffordSystem.from_matrices(sys.m, sys.l, mats))
+                got = verify_system(CliffordSystem.from_matrices(mats))
                 assert (got.passed, got.checks, got.failures) == (want.passed, want.checks, want.failures), (m, k)
             else:
                 with pytest.raises(ValueError, match="is not a signed permutation"):
-                    CliffordSystem.from_matrices(sys.m, sys.l, mats)
+                    CliffordSystem.from_matrices(mats)
 
 
 def test_not_signed_permutation_reported():
@@ -506,8 +504,8 @@ def test_not_signed_permutation_reported():
         assert not _is_signed_permutation(p)
         mats = (*sys.matrices[:2], p, *sys.matrices[3:])
         with pytest.raises(ValueError, match="^P_2 is not a signed permutation$"):
-            CliffordSystem.from_matrices(sys.m, sys.l, mats)
-        assert not _reference_verify(sys.m, sys.l, mats).passed
+            CliffordSystem.from_matrices(mats)
+        assert not _reference_verify(sys.l, mats).passed
 
 
 def test_build_system_domain_errors():
@@ -534,10 +532,13 @@ def test_build_system_stores_numpy_integers_as_ints():
 @given(m=st.integers(1, 17), k=st.integers(1, 2))
 def test_every_built_system_verifies_round_trips_and_gathers(m, k):
     system = build_system(m, k)
+    assert (system.m, system.l) == (m, k * delta(m))
     report = verify_system(system)
     assert report.passed and report.checks == (m + 1) * (m + 4) // 2, report.failures
     assert CliffordSystem.from_json(system.to_json()) == system
     d = system.ambient_dim
+    if d <= 512:  # 37 MB of dense matrices at m = 17, k = 1
+        assert CliffordSystem.from_matrices(system.matrices) == system
     if system.l - m - 1 >= 1 and d <= 128:
         # the family's index of each P_i into [x | -x] gives P_i x; distinct
         # nonzero coordinates expose any wrong column or sign

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from scipy.stats import ks_2samp
 
 from isospectra import fkm
-from isospectra.catalog import MultiplicityPair, pair_g4
+from isospectra.catalog import pair_g4
 from isospectra.clifford import CliffordSystem, build_system, verify_system
 from isospectra.errors import InvalidPairError, NearFocalError, SamplingError
 from isospectra.fkm import FKMFamily
@@ -33,8 +33,10 @@ def fam43():
 def test_family_constructors(fam11, fam43):
     assert (fam11.m1, fam11.m2) == (1, 1) and fam11.ambient_dim == 6
     assert (fam43.m1, fam43.m2) == (4, 3) and fam43.ambient_dim == 16
-    with pytest.raises(InvalidPairError):
-        FKMFamily.from_representation(4, 1)  # m2 = -1
+    for make in (lambda: FKMFamily.from_representation(4, 1), lambda: FKMFamily(build_system(4, 1))):
+        with pytest.raises(InvalidPairError, match=r"gives m2 = -1 <= 0; no isoparametric family"):
+            make()
+    assert FKMFamily(build_system(4, 2)).pair == fam43.pair == pair_g4(4, 3)
     with pytest.raises(InvalidPairError):
         FKMFamily.from_pair(2, 2)  # not of Clifford type
     for args in ((4.0, 3), (4, 3.0), (True, 1), ("4", 3)):
@@ -650,33 +652,21 @@ def test_gather_index_reproduces_each_matrix():
     assert checked == 44
 
 
-def test_family_rejects_a_pair_that_is_not_the_systems():
-    # (m, l - m - 1) is (4, 3) for build_system(4, 2) and (4, -1) for build_system(4, 1)
-    for system, pair in ((build_system(4, 1), pair_g4(3, 4)), (build_system(4, 1), pair_g4(4, 3)),
-                         (build_system(4, 2), pair_g4(3, 4)), (build_system(4, 2), pair_g4(4, 11)),
-                         (build_system(4, 2), MultiplicityPair(2, 4, 3))):
-        with pytest.raises(ValueError, match="does not match the system"):
-            FKMFamily(system, pair)
-    assert FKMFamily(build_system(4, 2), pair_g4(4, 3)).pair == pair_g4(4, 3)
-
-
 def test_family_refuses_a_system_not_in_block_form():
     # conjugating build_system(4, 2) by the swap of coordinates 0 and l keeps
     # every Clifford relation but moves P_0 off diag(I, -I)
     system = build_system(4, 2)
     d, l = system.ambient_dim, system.l
     swap = np.eye(d, dtype=np.int64)[np.r_[l, 1:l, 0, l + 1 : d]]
-    swapped = CliffordSystem.from_matrices(4, l, [swap @ p @ swap.T for p in system.matrices])
+    swapped = CliffordSystem.from_matrices([swap @ p @ swap.T for p in system.matrices])
     assert verify_system(swapped).passed
     with pytest.raises(ValueError, match=r"P_0 is not in block form"):
-        FKMFamily(swapped, pair_g4(4, 3))
+        FKMFamily(swapped)
     # P_0's own form in place of P_3 does not swap the two halves
     perm, sign = system.perm.copy(), system.sign.copy()
     perm[3], sign[3] = perm[0], sign[0]
     with pytest.raises(ValueError, match=r"P_3 is not in block form"):
-        FKMFamily(CliffordSystem(4, l, perm, sign), pair_g4(4, 3))
-    with pytest.raises(ValueError, match="has 4 matrices"):
-        FKMFamily(CliffordSystem(4, l, system.perm[:4], system.sign[:4]), pair_g4(4, 3))
+        FKMFamily(CliffordSystem(perm, sign))
 
 
 def test_family_rejects_matrices_that_are_no_signed_permutation():
@@ -690,7 +680,7 @@ def test_family_rejects_matrices_that_are_no_signed_permutation():
         with pytest.raises(ValueError, match="P_2 is not a signed permutation"):
             CliffordSystem.from_json(json.dumps({**data, key: rows}))
     with pytest.raises(ValueError, match=r"P_3 has shape \(3, 3\)"):
-        CliffordSystem.from_matrices(system.m, system.l, (*system.matrices[:3], np.eye(3, dtype=np.int64)))
+        CliffordSystem.from_matrices((*system.matrices[:3], np.eye(3, dtype=np.int64)))
 
 
 def test_f_bounded_by_one(fam11):
@@ -1201,6 +1191,15 @@ def test_shape_operator_scale_invariant(fam43, fam12_51):
             assert [n for _, n in scaled.clusters] == [n for _, n in spec.clusters]
 
 
+def test_shape_operator_targets_are_those_of_eval_F(fam43, fam12_51):
+    # f from the sum eval_F takes, so theta, the targets and the focal decision follow F bit for bit
+    for fam, count in ((fam43, 200), (fam12_51, 40)):
+        for x in np.random.default_rng(51).standard_normal((count, fam.ambient_dim)):
+            theta = fkm.level_angle(fkm.eval_F(fam, x / np.linalg.norm(x, axis=-1, keepdims=True)))
+            targets = tuple(1.0 / math.tan(theta + alpha * math.pi / 4.0) for alpha in range(4))
+            assert fkm.shape_operator_spectrum(fam, x).targets == targets
+
+
 def test_shape_operator_rejects_focal_and_bad_points(fam43, fam12_51):
     for fam in (fam43, fam12_51):
         for focal in (fkm.sample_focal_M1(fam, 2, seed=23), fkm.sample_focal_M2(fam, 2, seed=23)):
@@ -1243,6 +1242,14 @@ def test_point_cloud_save(tmp_path, fam11):
     assert sidecar["schema_version"] == fkm.SCHEMA_VERSION == 2
     assert sidecar["draws"] == cloud.meta["draws"] >= 20
     assert {"batches", "dropped", "rejected", "max_residual"} <= sidecar.keys()
+
+
+def test_point_cloud_refuses_to_save_over_its_sidecar(tmp_path, fam11):
+    cloud = fkm.sample_level_set(fam11, 0.1, 5, seed=22)
+    for name in ("cloud.json", "cloud.csv.json"):
+        with pytest.raises(ValueError, match="sidecar's own path"):
+            cloud.save(tmp_path / name)
+    assert not any(tmp_path.iterdir())  # nothing was written
 
 
 def test_point_cloud_leaves_the_callers_array_writeable():

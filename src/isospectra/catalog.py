@@ -4,7 +4,8 @@ An isoparametric hypersurface of the unit sphere has g distinct principal
 curvatures cot(theta_alpha), theta_alpha = theta_1 + (alpha-1)*pi/g, with
 multiplicities m_alpha satisfying m_alpha = m_{alpha+2}.  Everything the rest
 of the package consumes about a family (dimension, the minimal hypersurface's
-angle, focal dimensions, which (m1, m2) occur at all) lives here.
+angle as a float and, for g=4, its exact sin^2 as an integer triplet, focal
+dimensions, which (m1, m2) occur at all) lives here.
 
 The g=4 admissible catalog is the set of FKM pairs (m, k*delta(m)-m-1), both
 entries positive (Ferus-Karcher-Muenzner, Math. Z. 177 (1981)), together with
@@ -20,10 +21,9 @@ import json
 import math
 import operator
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import InvalidPairError, UnsupportedCaseError
-from .exact import Surd
+from .exact import _split_square
 
 SCHEMA_VERSION = 1
 
@@ -72,8 +72,9 @@ class MultiplicityPair:
             raise InvalidPairError(f"g must be in {{1,2,3,4,6}}, got {self.g}")
         if self.m1 < 1 or self.m2 < 1:
             raise InvalidPairError(f"multiplicities must be positive, got ({self.m1}, {self.m2})")
-        if self.g % 2 == 1 and self.m1 != self.m2:
-            raise InvalidPairError(f"odd g={self.g} forces m1 = m2, got ({self.m1}, {self.m2})")
+        if self.g not in (2, 4) and self.m1 != self.m2:
+            raise InvalidPairError(f"g={self.g} forces m1 = m2 (odd g: Muenzner, g=6: Abresch), "
+                                   f"got ({self.m1}, {self.m2})")
         if self.g == 4 and self.m1 % 2 == 0 and self.m2 % 2 == 0 and (self.m1, self.m2) != (2, 2):
             raise InvalidPairError(
                 f"g=4 multiplicities cannot both be even except (2,2), got ({self.m1}, {self.m2})"
@@ -98,43 +99,15 @@ def hypersurface_dimension(pair: MultiplicityPair) -> int:
     return pair.g * pair.m1
 
 
-@dataclass(frozen=True)
-class MinimalAngle:
-    """Angle theta_1 of the minimal hypersurface in its family.
+def minimal_angle(pair: MultiplicityPair) -> float:
+    """theta_1 = (2/g) atan(sqrt(m1/m2)), the minimal hypersurface's angle, for even g.
 
-    ``sin_squared`` is the exact surd value of sin^2(theta_1); ``theta`` is
-    its float angle.  Minimality means the mean curvature sum
-    sum_alpha m_alpha cot(theta_alpha) vanishes.
+    Zero mean curvature, sum_alpha m_alpha cot(theta_alpha) = 0, reads
+    m1 cot(g theta/2) = m2 tan(g theta/2) for even g.
     """
-
-    theta: float
-    sin_squared: Surd
-
-
-def minimal_angle(pair: MultiplicityPair) -> MinimalAngle:
-    """Solve the zero-mean-curvature condition for even g.
-
-    For even g the condition m1*cot(g*theta/2) = m2*tan(g*theta/2) gives
-    tan^2(g*theta_1/2) = m1/m2.  Closed surd forms:
-
-    * g=2: sin^2 = m1/(m1+m2);
-    * g=4: sin^2 = (1 - sqrt(m2/(m1+m2)))/2;
-    * g=6 (m1=m2): theta_1 = pi/12, sin^2 = (2 - sqrt(3))/4.
-    """
-    g, m1, m2 = pair.g, pair.m1, pair.m2
-    if g % 2 == 1:
-        raise UnsupportedCaseError(f"minimal angle surd is only provided for even g, got g={g}")
-    theta = (2.0 / g) * math.atan(math.sqrt(m1 / m2))
-    s = m1 + m2
-    if g == 2:
-        sin_sq = Surd(Fraction(m1, s), Fraction(0), 1)
-    elif g == 4:
-        sin_sq = Surd(Fraction(1, 2), Fraction(-1, 2 * s), m2 * s)
-    else:
-        if m1 != m2:
-            raise UnsupportedCaseError("g=6 with m1 != m2 has no quadratic-surd angle (and is not realizable)")
-        sin_sq = Surd(Fraction(1, 2), Fraction(-1, 4), 3)
-    return MinimalAngle(theta, sin_sq)
+    if pair.g % 2 == 1:
+        raise UnsupportedCaseError(f"minimal angle is only provided for even g, got g={pair.g}")
+    return (2.0 / pair.g) * math.atan(math.sqrt(pair.m1 / pair.m2))
 
 
 def principal_angles(pair: MultiplicityPair, theta1: float) -> tuple[float, ...]:
@@ -266,15 +239,22 @@ KNOWN_EIGENVALUE_FACTS: tuple[KnownEigenvalueFact, ...] = (
 
 
 def sin2_theta1_triplet(pair: MultiplicityPair) -> dict:
-    """sin^2(theta_1) of a g=4 pair as {num, den, surd}: (num - sqrt(surd)) / den."""
-    surd = minimal_angle(pair).sin_squared
-    a, c, d = surd.rational, -surd.coef, surd.radicand
-    den = math.lcm(a.denominator, c.denominator)
-    # Already reduced: no g > 1 divides num and den with g^2 | k^2 d, k = c den.
-    # Such a g would divide k (d is square-free), yet a prime's full power in den
-    # is its power in the denominator of a or of c, so the prime does not divide
-    # num = a den, or does not divide k.
-    return {"num": int(a * den), "den": den, "surd": int(c * den) ** 2 * d}
+    """sin^2(theta_1) of a g=4 pair as {num, den, surd}: (num - sqrt(surd)) / den.
+
+    sin^2(theta_1) = (s - sqrt(m2 s)) / (2s), s = m1 + m2, divided through by the
+    largest q with q | s and q^2 | m2 s, i.e. q^2 | s gcd(m1, m2); no g > 1
+    reduces it further.  A square m2 s folds into {num, den, 0}.
+    """
+    if pair.g != 4:
+        raise UnsupportedCaseError(f"the sin^2(theta_1) triplet is for g=4, got g={pair.g}")
+    s = pair.m1 + pair.m2
+    q = _split_square(s * math.gcd(pair.m1, pair.m2))[0]
+    num, den, surd = s // q, 2 * s // q, pair.m2 * s // (q * q)
+    root = math.isqrt(surd)
+    if root * root == surd:
+        g = math.gcd(num - root, den)
+        return {"num": (num - root) // g, "den": den // g, "surd": 0}
+    return {"num": num, "den": den, "surd": surd}
 
 
 def catalog_entries(max_sum: int) -> list[dict]:

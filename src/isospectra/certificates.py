@@ -14,8 +14,8 @@ alpha = 1 is equivalent to 1 + S < A (alpha = 4 is the mirror image with the
 multiplicities swapped).  For alpha = 2, 3 the denominator is at least 1/2,
 so K_alpha <= sin^2(theta_alpha) G < G.
 
-Each verdict is decided twice.  The exact route uses integer inequalities
-only, O(1) work at any size:
+Each verdict is decided twice.  The exact route, ``_exact_verdicts`` (its
+text is ``_ROUTES``), uses integer inequalities only, O(1) work at any size:
 
 * S < 1 from Wendel's inequality x/sqrt(x+1/2) <= Gamma(x+1/2)/Gamma(x) <=
   sqrt(x) (Amer. Math. Monthly 55 (1948) 563-564), which gives
@@ -80,7 +80,7 @@ _GAUSS = tuple(np.polynomial.legendre.leggauss(k) for k in (20, 41))
 _NODES = np.concatenate([_GAUSS[0][0], _GAUSS[1][0]])
 _CUTS = np.linspace(0.0, 1.0, 9)  # a refined interval is cut into 8
 
-# the integer inequality behind each exact verdict, with s = m1 + m2
+# the integer inequality behind each verdict of ``_exact_verdicts``, with s = m1 + m2
 _ROUTES = {
     "K1": "(m2+1)(s+1) < s^2 and m2 s^3 >= (m2 s+m2+1)^2, so 1 + S < 2 <= A",
     "K2": "m1 < s, so sin^2(theta_2) < 1",
@@ -92,14 +92,14 @@ _ROUTES = {
 }
 
 
-def _s_below_one(m1: int, m2: int) -> bool:
+def _exact_verdicts(m1: int, m2: int) -> dict:
+    """The seven verdicts by the integer inequalities of ``_ROUTES``; K4 is K1 of (m2, m1)."""
     s = m1 + m2
-    return (m2 + 1) * (s + 1) < s * s
-
-
-def _a_at_least_two(m1: int, m2: int) -> bool:
-    s = m1 + m2
-    return m2 * s**3 >= (m2 * s + m2 + 1) ** 2
+    s_lt_1, swapped_s_lt_1 = ((m + 1) * (s + 1) < s * s for m in (m2, m1))
+    a_ge_2, swapped_a_ge_2 = (m * s**3 >= (m * s + m + 1) ** 2 for m in (m2, m1))
+    k1 = s_lt_1 and a_ge_2
+    return {"K1": k1, "K2": m1 < s, "K3": m2 < s, "K4": swapped_s_lt_1 and swapped_a_ge_2,
+            "S_lt_1": s_lt_1, "A_ge_2": a_ge_2, "one_plus_S_lt_A": k1}
 
 
 def _half_step_log_gamma(x: float) -> tuple[float, float]:
@@ -198,14 +198,14 @@ def quad(func, a, b):
 
 
 @dataclass(frozen=True)
-class SValue:
-    """The Gamma ratio S(m1, m2) with the bound on its float error."""
+class ScalarValue:
+    """A float scalar of the chain, S or A, with the bound on its error."""
 
     value: float
     error_bound: float
 
 
-def gamma_ratio_S(pair: MultiplicityPair) -> SValue:
+def gamma_ratio_S(pair: MultiplicityPair) -> ScalarValue:
     """S = Gamma((m2+2)/2) Gamma((m1+m2)/2) / (Gamma((m2+1)/2) Gamma((m1+m2+1)/2)).
 
     That is exp(h((m2+1)/2) - h(s/2)) with h from ``_half_step_log_gamma``.
@@ -214,31 +214,22 @@ def gamma_ratio_S(pair: MultiplicityPair) -> SValue:
     h2, err2 = _half_step_log_gamma((pair.m2 + 1) / 2)
     hs, errs = _half_step_log_gamma((pair.m1 + pair.m2) / 2)
     value, rel = _exp(h2 - hs, err2 + errs + _EPS * abs(h2 - hs))
-    return SValue(value, value * rel)
+    return ScalarValue(value, value * rel)
 
 
-@dataclass(frozen=True)
-class AValue:
-    """Threshold coefficient A, its float error bound and the integer test of A >= 2."""
-
-    value: float
-    error_bound: float
-    at_least_two: bool
-
-
-def threshold_A(pair: MultiplicityPair) -> AValue:
+def threshold_A(pair: MultiplicityPair) -> ScalarValue:
     """A = ((n+2)/n) ((m1-1)/(m1+m2)) / sin^2(theta_1).
 
     With s = m1+m2: A = 2 (s+1)(m1-1)(s + sqrt(s m2)) / (s^2 m1), a handful of
-    correctly rounded operations.  The verdict A >= 2 is the equivalent integer
-    inequality m2 s^3 >= (m2 s + m2 + 1)^2.
+    correctly rounded operations.  The verdict A >= 2 is decided by the
+    equivalent integer inequality in ``_exact_verdicts``.
     """
     if pair.g != 4:
         raise UnsupportedCaseError("threshold A is defined for g=4 pairs")
     m1, m2 = pair.m1, pair.m2
     s = m1 + m2
     value = 2 * (s + 1) * (m1 - 1) * (s + math.sqrt(s * m2)) / (s * s * m1)
-    return AValue(value, 4 * _EPS * value, _a_at_least_two(m1, m2))
+    return ScalarValue(value, 4 * _EPS * value)
 
 
 # -- the integrals G and K_alpha -------------------------------------------------
@@ -350,18 +341,14 @@ class HypersurfaceCertificate:
     sin2_theta1: dict
     K: tuple[IntegralValue, ...]
     G: IntegralValue
-    S: SValue
-    A: AValue
+    S: ScalarValue
+    A: ScalarValue
     ratios: tuple[float, ...]  # K_alpha * n / ((n+2) G)
     margins: dict
     verdicts: dict
     exact_verdicts: dict
     status: str  # pass | fail | inconclusive
     precision: dict
-
-    @property
-    def passed(self) -> bool:
-        return self.status == "pass"
 
     def to_dict(self) -> dict:
         return {
@@ -404,7 +391,6 @@ def certify_hypersurface(pair: MultiplicityPair) -> HypersurfaceCertificate:
             "settled by known facts rather than this certificate"
         )
     m1, m2 = pair.m1, pair.m2
-    s = m1 + m2
     n = hypersurface_dimension(pair)
     g_val = integral_G(pair)
     k_vals = tuple(integral_K(pair, a) for a in (1, 2, 3, 4))
@@ -415,7 +401,6 @@ def certify_hypersurface(pair: MultiplicityPair) -> HypersurfaceCertificate:
             f"({m1}, {m2}): {', '.join(tiny)} underflow below the smallest normal float, "
             "where the relative error bounds no longer hold"
         )
-    angle = minimal_angle(pair)
     s_val = gamma_ratio_S(pair)
     a_val = threshold_A(pair)
 
@@ -435,18 +420,7 @@ def certify_hypersurface(pair: MultiplicityPair) -> HypersurfaceCertificate:
     verdicts = {key: bool(margin > 0) for key, margin, _ in checks}
     inconclusive = any(abs(margin) <= err for _, margin, err in checks)
 
-    s_lt_1 = _s_below_one(m1, m2)
-    one_plus_s_lt_a = s_lt_1 and a_val.at_least_two
-    exact_verdicts = {
-        "K1": one_plus_s_lt_a,
-        "K2": m1 < s,
-        "K3": m2 < s,
-        "K4": _s_below_one(m2, m1) and _a_at_least_two(m2, m1),
-        "S_lt_1": s_lt_1,
-        "A_ge_2": a_val.at_least_two,
-        "one_plus_S_lt_A": one_plus_s_lt_a,
-    }
-
+    exact_verdicts = _exact_verdicts(m1, m2)
     if inconclusive or verdicts != exact_verdicts:
         status = "inconclusive"
     elif all(verdicts.values()):
@@ -457,7 +431,7 @@ def certify_hypersurface(pair: MultiplicityPair) -> HypersurfaceCertificate:
     return HypersurfaceCertificate(
         pair=pair,
         n=n,
-        theta1=angle.theta,
+        theta1=minimal_angle(pair),
         sin2_theta1=sin2_theta1_triplet(pair),
         K=k_vals,
         G=g_val,
@@ -481,7 +455,12 @@ def certify_hypersurface(pair: MultiplicityPair) -> HypersurfaceCertificate:
 
 @dataclass(frozen=True)
 class FocalCertificate:
-    """Verdict for lambda_1(M_i) = dim M_i on a focal submanifold, exact arithmetic."""
+    """Verdict for lambda_1(M_i) = dim M_i on a focal submanifold, exact arithmetic.
+
+    ``solomon_upper`` = 4 m_other is Solomon's eigenvalue on M2 of the FKM family
+    built with m = m_other, which has the dimension of M_i.  That family is congruent
+    to ``FKMFamily.from_pair(m1, m2)``'s only for (2,1), (6,1), (5,2) and the indefinite (4,3).
+    """
 
     pair: MultiplicityPair
     which: str  # "M1" | "M2"
@@ -523,7 +502,7 @@ def certify_focal(pair: MultiplicityPair, which: str) -> FocalCertificate:
     strict = Fraction(dim) < bound
     condition = 2 * m_other >= m_this + 3
     equivalence = (3 * dim >= 2 * n + 3) == condition
-    # M1 of (m1, m2) is M2 of the congruent (m2, m1) family
+    # Solomon's eigenvalue on M2 of the m = m_other family (see FocalCertificate)
     solomon = 4 * m_other if is_ot_fkm(m_other, m_this) else None
     covered = strict and condition
     return FocalCertificate(

@@ -1,7 +1,8 @@
 """Exact scalar arithmetic: quadratic surds, half-integer Gamma/Beta, sign decisions.
 
-* ``Surd`` values ``a + b*sqrt(d)`` with rational a, b and integer d >= 0
-  (e.g. the minimal angle's sin^2 theta_1);
+* ``Surd`` values ``a + b*sqrt(d)`` with rational a, b and integer d >= 0,
+  the single-radical case of ``sign_of_terms`` and of the test oracle (the
+  package's minimal angle is a float and an integer triplet, no surd);
 * ``PiRational`` values ``r * pi**(k/2)`` with rational r (every Beta/Gamma
   ratio of half-integer arguments has this shape);
 * ``sign_of_terms`` decides the sign of a finite sum of terms

@@ -89,7 +89,7 @@ from pathlib import Path
 import numpy as np
 
 from .catalog import MultiplicityPair, clifford_multiplier, delta
-from .clifford import CliffordSystem, build_system
+from .clifford import CliffordSystem, build_system, verify_system
 from .errors import InvalidPairError, NearFocalError, SamplingError
 
 SCHEMA_VERSION = 2
@@ -117,7 +117,8 @@ class FKMFamily:
 
     def __post_init__(self):
         """Derive the pair and the gather indices; InvalidPairError when m2 = l - m - 1 <= 0,
-        ValueError when the system is not in block form.
+        ValueError when the system is not in block form or, after that, fails
+        ``verify_system`` (the message lists the failed identities).
 
         Block form, as ``build_system`` makes it, is P_0 = diag(I, -I) and
         P_i = [[0, B_i], [B_i^T, 0]] for i >= 1 on R^l + R^l.  Row r of P_i x
@@ -138,6 +139,9 @@ class FKMFamily:
         if not block.all():
             raise ValueError(f"P_{int(np.argmin(block))} is not in block form: P_0 = diag(I, -I) "
                              "and P_i = [[0, B_i], [B_i^T, 0]] for i >= 1")
+        report = verify_system(self.system)
+        if not report.passed:
+            raise ValueError(f"not a Clifford system: {'; '.join(report.failures)}")
         gathers = np.where(sign > 0, perm, perm + d)
         bottom = gathers[1:, l:]
         halves = np.where(bottom < d, bottom, bottom - d + w) + m + 1

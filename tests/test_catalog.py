@@ -1,5 +1,6 @@
 import json
 import math
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -7,7 +8,9 @@ import pytest
 
 from isospectra import catalog
 from isospectra.catalog import MultiplicityPair, pair_g4
+from isospectra.certificates import _sin2_theta_alpha
 from isospectra.errors import InvalidPairError, UnsupportedCaseError
+from isospectra.exact import Surd
 
 
 # -- validation ------------------------------------------------------------------
@@ -75,13 +78,16 @@ def test_delta_table_and_periodicity():
 # -- minimal angle ------------------------------------------------------------------
 
 
+def _triplet_float(pair):
+    t = catalog.sin2_theta1_triplet(pair)
+    return (t["num"] - math.sqrt(t["surd"])) / t["den"]
+
+
 def test_minimal_angle_g4_closed_forms():
-    ma = catalog.minimal_angle(pair_g4(2, 2))
-    assert math.isclose(float(ma.sin_squared), (2 - math.sqrt(2)) / 4, rel_tol=1e-15)
-    assert math.isclose(float(ma.sin_squared), 0.1464466, abs_tol=5e-8)
-    ma = catalog.minimal_angle(pair_g4(4, 5))
-    assert math.isclose(float(ma.sin_squared), (3 - math.sqrt(5)) / 6, rel_tol=1e-15)
-    assert math.isclose(float(ma.sin_squared), 0.1273220, abs_tol=5e-8)
+    assert math.isclose(_triplet_float(pair_g4(2, 2)), (2 - math.sqrt(2)) / 4, rel_tol=1e-15)
+    assert math.isclose(_triplet_float(pair_g4(2, 2)), 0.1464466, abs_tol=5e-8)
+    assert math.isclose(_triplet_float(pair_g4(4, 5)), (3 - math.sqrt(5)) / 6, rel_tol=1e-15)
+    assert math.isclose(_triplet_float(pair_g4(4, 5)), 0.1273220, abs_tol=5e-8)
 
 
 def test_minimal_angle_g4_large_radicand():
@@ -89,37 +95,32 @@ def test_minimal_angle_g4_large_radicand():
     # it by trial division up to its square root took seconds
     m1, m2 = 2, 16000001
     s = m1 + m2
-    ma = catalog.minimal_angle(pair_g4(m1, m2))
-    sin_sq = ma.sin_squared
-    assert sin_sq.rational == Fraction(1, 2) and sin_sq.radicand == m2 * s
-    assert sin_sq.coef**2 * sin_sq.radicand == Fraction(m2, 4 * s)
-    assert math.isclose(float(sin_sq), math.sin(ma.theta) ** 2, rel_tol=1e-8)
+    pair = pair_g4(m1, m2)
+    assert catalog.sin2_theta1_triplet(pair) == {"num": s, "den": 2 * s, "surd": m2 * s}
+    assert math.isclose(_triplet_float(pair), math.sin(catalog.minimal_angle(pair)) ** 2, rel_tol=1e-8)
 
 
 def test_minimal_angle_g2_tan_squared():
     # tan^2(theta1) = m1/m2; symmetric pair -> theta1 = pi/4
-    ma = catalog.minimal_angle(MultiplicityPair(2, 3, 3))
-    assert math.isclose(ma.theta, math.pi / 4, rel_tol=1e-15)
+    assert math.isclose(catalog.minimal_angle(MultiplicityPair(2, 3, 3)), math.pi / 4, rel_tol=1e-15)
     for p, q in [(1, 2), (3, 5), (7, 2)]:
-        ma = catalog.minimal_angle(MultiplicityPair(2, p, q))
-        assert math.isclose(math.tan(ma.theta) ** 2, p / q, rel_tol=1e-13)
-        assert ma.sin_squared.rational == Fraction(p, p + q)
+        theta = catalog.minimal_angle(MultiplicityPair(2, p, q))
+        assert math.isclose(math.tan(theta) ** 2, p / q, rel_tol=1e-13)
 
 
 def test_minimal_angle_zero_mean_curvature():
     for pair in catalog.admissible_pairs(40):
-        ma = catalog.minimal_angle(pair)
+        theta = catalog.minimal_angle(pair)
         n = catalog.hypersurface_dimension(pair)
-        assert abs(catalog.mean_curvature_sum(pair, ma.theta)) < 1e-12 * max(1, n)
-        # sin^2 from the surd matches the angle
-        assert math.isclose(math.sin(ma.theta) ** 2, float(ma.sin_squared), rel_tol=1e-13)
+        assert abs(catalog.mean_curvature_sum(pair, theta)) < 1e-12 * max(1, n)
+        # sin^2 from the triplet matches the angle
+        assert math.isclose(math.sin(theta) ** 2, _triplet_float(pair), rel_tol=1e-13)
 
 
 def test_minimal_angle_g6():
-    ma = catalog.minimal_angle(MultiplicityPair(6, 2, 2))
-    assert math.isclose(ma.theta, math.pi / 12, rel_tol=1e-15)
-    assert math.isclose(float(ma.sin_squared), (2 - math.sqrt(3)) / 4, rel_tol=1e-15)
-    assert abs(catalog.mean_curvature_sum(MultiplicityPair(6, 2, 2), ma.theta)) < 1e-12
+    theta = catalog.minimal_angle(MultiplicityPair(6, 2, 2))
+    assert math.isclose(theta, math.pi / 12, rel_tol=1e-15)
+    assert abs(catalog.mean_curvature_sum(MultiplicityPair(6, 2, 2), theta)) < 1e-12
 
 
 def test_minimal_angle_odd_g_unsupported():
@@ -255,7 +256,7 @@ def test_focal_dimensions():
 
 def test_family_geometry():
     pair = pair_g4(4, 5)
-    theta = catalog.principal_angles(pair, catalog.minimal_angle(pair).theta)
+    theta = catalog.principal_angles(pair, catalog.minimal_angle(pair))
     assert len(theta) == 4
     for a, b in zip(theta, theta[1:]):
         assert math.isclose(b - a, math.pi / 4, rel_tol=1e-15)
@@ -285,14 +286,15 @@ def test_sin2_theta1_triplet_values():
     # (1, 8): (3 - sqrt 8)/6
     assert catalog.sin2_theta1_triplet(pair_g4(1, 8)) == {"num": 3, "den": 6, "surd": 8}
     for pair in catalog.admissible_pairs(30):
-        t = catalog.sin2_theta1_triplet(pair)
-        val = (t["num"] - math.sqrt(t["surd"])) / t["den"]
-        assert math.isclose(val, float(catalog.minimal_angle(pair).sin_squared), rel_tol=1e-14)
+        s = pair.m1 + pair.m2
+        # (1 - sqrt(m2/s))/2 without the cancellation
+        assert math.isclose(_triplet_float(pair), pair.m1 / (2 * (s + math.sqrt(pair.m2 * s))), rel_tol=1e-14)
 
 
 def _scanned_triplet(pair):
     """The first implementation: for the largest g | gcd(num, den) with g^2 | k^2 d, scanned down."""
-    surd = catalog.minimal_angle(pair).sin_squared
+    s = pair.m1 + pair.m2
+    surd = Surd(Fraction(1, 2), Fraction(-1, 2 * s), pair.m2 * s)
     a, c, d = surd.rational, -surd.coef, surd.radicand
     den = a.denominator * c.denominator // math.gcd(a.denominator, c.denominator)
     num = int(a * den)
@@ -316,6 +318,34 @@ def test_sin2_theta1_triplet_matches_scan_oracle():
     # leaves (s - sqrt(m2 s)) / (2 s) unreduced
     m2, s = 16000001, 16000003
     assert catalog.sin2_theta1_triplet(pair_g4(2, m2)) == {"num": s, "den": 2 * s, "surd": m2 * s}
+
+
+@pytest.mark.parametrize("m1, m2, q", [(67, 3 * 2**34 - 68, 1), (2, 2 * 10**15 + 1, 1),
+                                       (2025, 2025 * (10**13 + 1), 2025)])
+def test_minimal_angle_and_triplet_at_huge_sums(m1, m2, q):
+    # m2 s reaches 2.7e21, 4e30 and 4e32; the triplet splits squares off s gcd(m1, m2)
+    # only, where splitting m2 s took about a second at (67, 3 2^34 - 68)
+    pair = pair_g4(m1, m2)
+    s = m1 + m2
+    start = time.perf_counter()
+    t = catalog.sin2_theta1_triplet(pair)
+    theta = catalog.minimal_angle(pair)
+    assert time.perf_counter() - start < 0.2
+    num, den, surd = t["num"], t["den"], t["surd"]
+    assert s // num == q
+    assert den == 2 * num and num * q == s and surd * q * q == m2 * s
+    # (num - sqrt(surd)) / den without the cancellation: num^2 - surd is exact
+    sin2 = (num * num - surd) / (den * (num + math.sqrt(surd)))
+    assert abs(sin2 - _sin2_theta_alpha(pair, 1)) <= 4 * math.ulp(sin2)
+    assert theta == 0.5 * math.atan(math.sqrt(m1 / m2))
+    assert math.isclose(math.sin(theta) ** 2, sin2, rel_tol=1e-9)
+
+
+def test_triplet_is_for_g4_and_g6_needs_equal_multiplicities():
+    with pytest.raises(UnsupportedCaseError, match="g=4"):
+        catalog.sin2_theta1_triplet(MultiplicityPair(2, 1, 2))
+    with pytest.raises(InvalidPairError, match="g=6: Abresch"):
+        MultiplicityPair(6, 1, 2)
 
 
 def test_catalog_json_schema():

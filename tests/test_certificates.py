@@ -394,7 +394,7 @@ def test_T_matches_S_cross_check():
 def test_A_exact_integer_route_2_2():
     a = certs.threshold_A(pair_g4(2, 2))
     assert 2 * (2 + 2) ** 3 == 128 and (4 + 4 + 2 + 1) ** 2 == 121
-    assert a.at_least_two
+    assert certs._exact_verdicts(2, 2)["A_ge_2"]
     assert math.isclose(a.value, 2.1338834764831844, rel_tol=1e-14)
 
 
@@ -416,7 +416,7 @@ def test_A_sufficient_inequalities():
     # and indeed A >= 2 across the catalog
     for pair in admissible_pairs(64):
         if min(pair.m1, pair.m2) >= 2:
-            assert certs.threshold_A(pair).at_least_two
+            assert certs._exact_verdicts(pair.m1, pair.m2)["A_ge_2"]
 
 
 # -- hypersurface certificates -----------------------------------------------------------

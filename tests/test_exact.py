@@ -1,9 +1,14 @@
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import isospectra
 from isospectra.exact import PiRational, Surd, _split_square, beta_half, gamma_half, sign_of_terms
 
 
@@ -109,3 +114,14 @@ def test_sign_of_terms_with_pi():
     assert sign_of_terms([(1, 1, 1), (Fraction(-103993, 33102), 1, 0)]) == 1
     # mixed radical and pi: pi - sqrt(2) - sqrt(3) + 2 = 2.4096... > 0
     assert sign_of_terms([(1, 1, 1), (-1, 2, 0), (-1, 3, 0), (2, 1, 0)]) == 1
+
+
+def test_the_package_imports_neither_scipy_nor_mpmath():
+    # mpmath stays a lazy import of sign_of_terms; scipy is for the tests only
+    code = ("import sys; from isospectra import catalog, certificates, clifford, exact, fkm; "
+            "print(sorted({'scipy', 'mpmath'} & {name.split('.')[0] for name in sys.modules}))")
+    src = str(Path(isospectra.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"

@@ -669,6 +669,17 @@ def test_family_refuses_a_system_not_in_block_form():
         FKMFamily(CliffordSystem(perm, sign))
 
 
+def test_family_refuses_a_block_form_system_that_is_no_clifford_system():
+    # P_1 in place of P_2 keeps the block form, but P_1 P_2 + P_2 P_1 = 2I, not 0
+    system = build_system(4, 2)
+    perm, sign = system.perm.copy(), system.sign.copy()
+    perm[2], sign[2] = perm[1], sign[1]
+    broken = CliffordSystem(perm, sign)
+    assert "anticommutator identity violated at (P_1, P_2)" in verify_system(broken).failures
+    with pytest.raises(ValueError, match=r"not a Clifford system: .*\(P_1, P_2\)"):
+        FKMFamily(broken)
+
+
 def test_family_rejects_matrices_that_are_no_signed_permutation():
     # such a system cannot be built, so no family can gather along it
     system = build_system(4, 2)
@@ -1162,7 +1173,7 @@ def test_shape_operator_multiplicities_and_minimality(fam43, fam12_51):
     from isospectra.catalog import minimal_angle
 
     for fam in (fam43, fam12_51):
-        theta1 = minimal_angle(fam.pair).theta
+        theta1 = minimal_angle(fam.pair)
         cloud = fkm.sample_level_set(fam, math.cos(4 * theta1), 2, seed=20)
         for x in cloud.points:
             spec = _assert_exact_spectrum(fam, x)

@@ -54,7 +54,7 @@ def test_certificate_ratios_are_sphere_expectations(m1, m2):
     pair = pair_g4(m1, m2)
     theta = np.array([fkm.level_angle(f) for f in _levels(m1, m2)])
     g = certs.integral_G(pair).value
-    angles = principal_angles(pair, minimal_angle(pair).theta)
+    angles = principal_angles(pair, minimal_angle(pair))
     for alpha, theta_alpha in enumerate(angles, start=1):
         csc2 = np.sin(theta + (alpha - 1) * math.pi / 4) ** -2
         scale = math.sin(theta_alpha) ** 2 / 2

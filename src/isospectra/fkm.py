@@ -19,7 +19,7 @@ half the coordinates: r = |x|^2 = |a|^2 + |b|^2, q_0 = <P_0 x, x> =
 |a|^2 - |b|^2 and, for i >= 1, q_i = <B_i b, a> + <B_i^T a, b> = 2 <a, B_i b>,
 since <B_i^T a, b> = <a, B_i b>.  B_i b is the top half of P_i x.  One pass
 that forms each P_i x in turn yields r, q and grad F = 4 r x - 8 sum_i q_i P_i x
-at once; F, the spherical gradient, the normal and the samplers'
+at once; F, the spherical gradient, the normal and the level-set sampler's
 normal-geodesic transport derive from that one pass.
 
 Every kernel walks the rows in cache-sized blocks, feature-major: a block's
@@ -51,17 +51,28 @@ proposal draws straight into the unfilled tail, turns the draws into
 candidates in place one row block at a time, and the rows it drops or that
 miss the level check are compacted away in place.  Besides the cloud, a call
 holds the level check's per-row forms q and a few block-sized buffers
-allocated once per call; the level-set and M1 transport forms the gradient in
-those buffers, block by block.  Each cloud's meta records its draws, batches,
+allocated once per call; the level-set transport forms the gradient in those
+buffers, block by block.  Each cloud's meta records its draws, batches,
 dropped and rejected candidates and its worst residual, and the
 ``isospectra`` logger reports them at DEBUG.
-Level-set and M1 clouds are push-forwards of the uniform sphere measure along
-the normal geodesics, and the transport is exact: f(cos s x + sin s xi(x)) =
-cos 4(theta_0 - s) (Münzner 1980).  On a level set that push-forward is the
-normalized volume of the leaf, because the principal curvatures are constant
-on each leaf, so the Jacobian of the transport between leaves depends on the
-distance alone; the tests compare its second moments with uniform sphere draws
-in the shell |f - t| < 1e-3.
+Level-set clouds are push-forwards of the uniform sphere measure along the
+normal geodesics, and the transport is exact: f(cos s x + sin s xi(x)) =
+cos 4(theta_0 - s) (Münzner 1980).  That push-forward is the normalized volume
+of the leaf, because the principal curvatures are constant on each leaf, so
+the Jacobian of the transport between leaves depends on the distance alone;
+the tests compare its second moments with uniform sphere draws in the shell
+|f - t| < 1e-3.
+M1 = {|a| = |b| = 1/sqrt 2, a orthogonal to B_1 b, ..., B_m b} for x = (a, b)
+is a bundle over the sphere of b in R^l (Ferus-Karcher-Münzner 1981): the
+B_i b are orthogonal, each of length |b|, and the fibre is the sphere of
+radius 1/sqrt 2 in their orthogonal complement.  Each M1 candidate is drawn
+from 2l normals (a', b'): b' is normalized, and a' is projected onto the
+fibre's subspace by Gram-Schmidt and normalized, with m gathers of width l
+and no transcendental function.  The horizontal lift of the base has Gram
+determinant det(I + A^T A) = 2^m at every point (``sample_focal_M1``), so
+"b uniform, then a uniform on its fibre" is the normalized volume of M1; the
+transport to f = 1 pushes the sphere measure forward to the same law, which
+the tests check.
 M2 is the union over unit c in R^{m+1} of the unit spheres of the +1
 eigenspaces E+(P_c), P_c = sum c_i P_i (Ferus-Karcher-Münzner 1981), each of
 dimension l.  The family requires the block form P_0 = diag(I, -I),
@@ -71,8 +82,8 @@ B_g = sum_{i>=1} g_i B_i, lies in E+(P_c) for c = g/|g|, and u -> x before
 normalizing is a scaled isometry onto E+(P_c).  So x is uniform on the unit
 sphere of E+(P_c), with c uniform on S^m: the law of the normalized
 projection y + P_c y of a standard normal y in R^{2l}, from half the normals
-and half the gathers.  Whether the M1 and M2 clouds are intrinsic-uniform has
-not been measured.
+and half the gathers.  Whether the M2 clouds are intrinsic-uniform has not
+been measured.
 """
 
 from __future__ import annotations
@@ -99,6 +110,7 @@ _log = logging.getLogger(__name__)
 _LEVEL_TOL = 1e-10
 _FOCAL_GRAD_CUTOFF = 1e-8
 _MAX_ATTEMPTS = 50
+_SQRT2 = math.sqrt(2.0)
 # The kernels walk the rows in blocks of about this many float64 values
 # (256 KiB), so a block, its product P_i x and the gradient accumulator stay in
 # cache whatever the batch size.  Blocks of 2^14-2^15 values sampled fastest;
@@ -625,17 +637,69 @@ def _gauss_newton_focal(family: FKMFamily, x: np.ndarray, iters: int = 4) -> np.
     return x
 
 
+def _bundle_draws(family: FKMFamily, rng, out: np.ndarray) -> int:
+    """Unit points of M1 written to the front of ``out``; returns how many.
+
+    Each row draws d = 2l standard normals (a', b') into ``out``, one block
+    ahead (``_drawn_ahead``), and is turned in place, one feature-major block
+    at a time, into (a / |a|, b' / |b'|) / sqrt 2, where a is a' projected
+    onto the orthogonal complement of B_1 b', ..., B_m b' by Gram-Schmidt.
+    The B_i b' are orthogonal, each of length |b'|, so step i subtracts
+    <a, B_i b'> / |b'|^2 times B_i b', gathered from the top half of P_i's
+    index.  Rows whose |a| is 0 or not finite are dropped; a zero b' stays
+    zero and leaves a' unprojected, so the level check rejects its row.
+    """
+    d = out.shape[1]
+    l = d // 2
+    tops = [index[:l] for index in family._gathers[1:]]
+    keep = np.empty(len(out), dtype=bool)
+    with _drawn_ahead(rng, out) as drawn:
+        for rows, signed, bb, tmp in _feature_blocks(out, l, l, wait=drawn):
+            a, b = signed[:l], signed[l:d]
+            b_norm = _row_norms(b, tmp)
+            b_norm[b_norm == 0.0] = 1.0
+            b2 = b_norm * b_norm
+            for index in tops:
+                np.take(signed, index, axis=0, out=bb, mode="clip")  # B_i b'
+                step = _row_sums(np.multiply(bb, a, out=tmp))
+                step /= b2
+                a -= np.multiply(bb, step, out=tmp)
+            a_norm = _row_norms(a, tmp)
+            keep[rows] = ok = np.isfinite(a_norm) & (a_norm > 0.0)
+            a /= np.where(ok, a_norm, 1.0) * _SQRT2
+            b /= b_norm * _SQRT2
+            out[rows] = signed[:d].T
+    return _compact(out, keep)
+
+
+# recorded in the meta of every M1 cloud; clouds of the earlier normal-geodesic transport have no such key
+M1_PROPOSAL = "sphere_bundle"
+
+
 def sample_focal_M1(
     family: FKMFamily, count: int, seed: int, tol: float = _LEVEL_TOL
 ) -> PointCloud:
-    """Points of M1 = f^{-1}(1), i.e. {<P_i x, x> = 0 for all i} on the sphere.
+    """Points of M1 = f^{-1}(1), i.e. {<P_i x, x> = 0 for all i} on the sphere, as a sphere bundle.
 
-    Uniform sphere points are transported to the f = 1 end of their normal
-    geodesic, where the exact transport lands on M1; rows that miss the
-    residual tolerance are resampled.
+    In block form, x = (a, b), q_0 = |a|^2 - |b|^2 and q_i = 2 <a, B_i b>,
+    so M1 = {|a| = |b| = 1/sqrt 2, a orthogonal to every B_i b}.  Since
+    B_i^T B_j + B_j^T B_i = 2 delta_ij I, the B_i b are orthogonal, each of
+    length |b|: M1 is a bundle over the sphere of b in R^l whose fibre is the
+    sphere of radius 1/sqrt 2 in (span B_i b)^perp, of dimension m2
+    (Ferus-Karcher-Münzner 1981).  Each candidate takes b uniform, then a
+    uniform on its fibre (``_bundle_draws``): d normals, m gathers of width
+    l, and only +, *, /, sqrt.  A tangent vector v of the base lifts
+    horizontally to (A v, v), A v = -2 sum_i <B_i^T a, v> B_i b, and the
+    B_i^T a are orthogonal to b and to each other with |B_i^T a|^2 = 1/2, so
+    the Gram determinant det(I + A^T A) is 2^m at every point of M1.  The
+    fibres are isometric spheres, so the volume of M1 is a constant times
+    the product of the base's and the fibre's, and the cloud samples the
+    normalized volume of M1.  Rows that miss the residual tolerance are
+    resampled.  The cloud's meta records ``proposal``: ``M1_PROPOSAL``.
     """
     return _sample(
-        family, count, seed, tol, "M1", 1.0, lambda rng, out: _transported_draws(family, rng, out, 0.0)
+        family, count, seed, tol, "M1", 1.0, lambda rng, out: _bundle_draws(family, rng, out),
+        {"proposal": M1_PROPOSAL},
     )
 
 

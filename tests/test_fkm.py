@@ -253,15 +253,16 @@ def test_samplers_make_one_pass_per_batch(fam43, monkeypatch):
     monkeypatch.setattr(fkm, "_block_forms", counting_kernel)
     monkeypatch.setattr(fkm, "eval_F", counting_check)
     monkeypatch.setattr(fkm, "_gauss_newton_focal", no_polish)
+    # the focal proposals form no gradient: M1 is a sphere bundle, M2 a union of eigenspaces
     for sample, kernel_passes in (
         (lambda: fkm.sample_level_set(fam43, 0.2, 500, seed=30), 1),
-        (lambda: fkm.sample_focal_M1(fam43, 500, seed=31), 1),
+        (lambda: fkm.sample_focal_M1(fam43, 500, seed=31), 0),
         (lambda: fkm.sample_focal_M2(fam43, 500, seed=32), 0),
     ):
         passes.clear()
         checks.clear()
         assert sample().count == 500
-        # one proposal batch filled the cloud: one transport pass and one check
+        # one proposal batch filled the cloud: at most one transport pass, and one check
         assert len(checks) == 1
         assert len(passes) == kernel_passes
 
@@ -432,6 +433,28 @@ def _reference_transported(family, rng, want, theta):
     return _unit_rows(np.cos(move)[:, None] * draw[ok] + np.sin(move)[:, None] * _unit_rows(g[ok]))
 
 
+def _reference_bundle(family, rng, want):
+    """Unit rows of (a / |a|, b' / |b'|) / sqrt 2, whole batch at a time, B_i b' by dense matmul.
+
+    Each row draws (a', b') in R^{2l}; a is a' less its component along each
+    B_i b' in turn, i = 1..m, B_i the top right l x l block of P_i.
+    """
+    l = family.system.l
+    draw = rng.standard_normal((want, 2 * l))
+    a, b = draw[:, :l], draw[:, l:]
+    b_norm = np.sqrt(np.sum(b * b, axis=-1))
+    b_norm[b_norm == 0.0] = 1.0
+    b2 = b_norm * b_norm
+    for p in family.system.matrices[1:]:
+        v = b @ p[:l, l:].T.astype(np.float64)
+        a -= v * (np.sum(v * a, axis=-1) / b2)[:, None]
+    a_norm = np.sqrt(np.sum(a * a, axis=-1))
+    ok = np.isfinite(a_norm) & (a_norm > 0.0)
+    a /= (np.where(ok, a_norm, 1.0) * np.sqrt(2.0))[:, None]
+    b /= (b_norm * np.sqrt(2.0))[:, None]
+    return draw[ok]
+
+
 def _reference_eigenspace(family, rng, want):
     """Unit rows of ((|g| + g_0) u, B_g^T u), whole batch at a time, B_i^T u by dense matmul.
 
@@ -487,8 +510,12 @@ def _both_clouds(fam, which, count, seed, wrap_rng=lambda rng: rng, before_each=
         target = -1.0
         new = lambda rng, out: fkm._eigenspace_draws(fam, wrap_rng(rng), out)
         old = lambda rng, want: _reference_eigenspace(fam, wrap_rng(rng), want)
+    elif which == "M1":
+        target = 1.0
+        new = lambda rng, out: fkm._bundle_draws(fam, wrap_rng(rng), out)
+        old = lambda rng, want: _reference_bundle(fam, wrap_rng(rng), want)
     else:
-        target = 1.0 if which == "M1" else 0.2
+        target = 0.2
         theta = fkm.level_angle(target)
         new = lambda rng, out: fkm._transported_draws(fam, wrap_rng(rng), out, theta)
         old = lambda rng, want: _reference_transported(fam, wrap_rng(rng), want, theta)
@@ -554,12 +581,12 @@ def test_compaction_of_dropped_and_rejected_rows(block_families, pair, monkeypat
         return check
 
     count = _several_blocks(fam)
-    # every 5th draw is a point of M1, where the normal is undefined, or a zero
-    # (g, u), whose candidate is zero: both are dropped by the proposal, and the
-    # zero row raises no floating-point error on the way
+    # every 5th draw is a point of M1, where the normal is undefined, a zero
+    # (a', b'), whose top half projects to zero, or a zero (g, u), whose
+    # candidate is zero: each is dropped by its proposal, and the zero rows
+    # raise no floating-point error on the way
     focal = 3.0 * fkm.sample_focal_M1(fam, 1, seed=42).points[0]
-    zero = np.zeros(_draw_width(fam))
-    for which, row in (("level", focal), ("M1", focal), ("M2", zero)):
+    for which, row in (("level", focal), ("M1", np.zeros(fam.ambient_dim)), ("M2", np.zeros(_draw_width(fam)))):
         with np.errstate(all="raise"):
             streamed, reference = _both_clouds(
                 fam, which, count, 43, lambda rng: _FifthRowsReplaced(rng, row),
@@ -833,8 +860,11 @@ def test_sampler_counters_record_drops_and_rejections(block_families, which, mon
     if which == "M2":
         target, zero = -1.0, np.zeros(_draw_width(fam))
         propose = lambda rng, out: fkm._eigenspace_draws(fam, _FifthRowsReplaced(rng, zero), out)
+    elif which == "M1":
+        target, zero = 1.0, np.zeros(fam.ambient_dim)
+        propose = lambda rng, out: fkm._bundle_draws(fam, _FifthRowsReplaced(rng, zero), out)
     else:
-        target = 1.0 if which == "M1" else 0.2
+        target = 0.2
         theta = fkm.level_angle(target)
         propose = lambda rng, out: fkm._transported_draws(fam, _FifthRowsReplaced(rng, focal), out, theta)
     count = _several_blocks(fam)
@@ -892,8 +922,10 @@ class _CountedFills:
 def _proposal(fam, which):
     if which == "M2":
         return -1.0, lambda rng, out: fkm._eigenspace_draws(fam, rng, out)
-    theta = fkm.level_angle(1.0 if which == "M1" else 0.2)
-    return (1.0 if which == "M1" else 0.2), lambda rng, out: fkm._transported_draws(fam, rng, out, theta)
+    if which == "M1":
+        return 1.0, lambda rng, out: fkm._bundle_draws(fam, rng, out)
+    theta = fkm.level_angle(0.2)
+    return 0.2, lambda rng, out: fkm._transported_draws(fam, rng, out, theta)
 
 
 @pytest.mark.parametrize("which", ["level", "M1", "M2"])
@@ -1060,6 +1092,39 @@ def test_sample_focal_M1(fam11, fam43):
         q = fkm.quadratic_forms(fam, cloud.points)
         assert np.abs(q).max() < 1e-10
         assert np.abs(fkm.eval_F(fam, cloud.points) - 1).max() < 1e-10
+
+
+def test_m1_points_are_the_normalized_halves_of_their_own_draw(block_families):
+    # the bottom half is b' / (sqrt 2 |b'|) and the top half a' projected off
+    # every B_i b' and normalized, for the (a', b') that row j draws
+    for fam in block_families.values():
+        count, seed, l = _several_blocks(fam), 69, fam.system.l
+        cloud = fkm.sample_focal_M1(fam, count, seed)
+        assert cloud.meta["draws"] == count  # nothing dropped or rejected: row j is draw j
+        draws = np.random.default_rng(np.random.SeedSequence(seed)).standard_normal((count, fam.ambient_dim))
+        a, b = draws[:, :l], draws[:, l:]
+        top, bottom = cloud.points[:, :l], cloud.points[:, l:]
+        assert np.abs(bottom - b / (np.sqrt(2.0) * np.linalg.norm(b, axis=-1, keepdims=True))).max() <= 1e-15
+        basis = np.stack([b @ p[:l, l:].T.astype(np.float64) for p in fam.system.matrices[1:]], axis=1)
+        basis /= np.linalg.norm(b, axis=-1)[:, None, None]  # orthonormal: B_i b' / |b'|
+        assert np.abs(np.einsum("nl,nil->ni", top, basis)).max() <= 1e-13, fam.pair
+        a = a - np.einsum("ni,nil->nl", np.einsum("nl,nil->ni", a, basis), basis)
+        assert np.abs(top - a / (np.sqrt(2.0) * np.linalg.norm(a, axis=-1, keepdims=True))).max() <= 1e-13
+
+
+@pytest.mark.parametrize("pair", [(4, 3), (9, 22), (5, 2)], ids=lambda p: f"{p[0]}-{p[1]}")
+def test_m1_cloud_has_the_law_of_the_transported_proposal(pair):
+    # the sphere bundle against uniform sphere points transported to f = 1:
+    # two-sample KS on coordinates of both halves and on products across the
+    # halves, p > 1e-4 each
+    fam = FKMFamily.from_pair(*pair)
+    count, d, l = 20_000, fam.ambient_dim, fam.system.l
+    new = fkm.sample_focal_M1(fam, count, seed=73).points
+    old = fkm._sample(fam, count, 83, 1e-10, "M1", 1.0,
+                      lambda rng, out: fkm._transported_draws(fam, rng, out, 0.0)).points
+    samples = [(new[:, j], old[:, j]) for j in (0, l - 1, l, d - 1)]
+    samples += [(new[:, i] * new[:, j], old[:, i] * old[:, j]) for i, j in ((0, l), (0, d - 1), (l - 1, l + 1))]
+    assert min(ks_2samp(a, b).pvalue for a, b in samples) > 1e-4
 
 
 def test_sample_focal_M1_local_dimension(fam11):
@@ -1277,23 +1342,36 @@ SEEDED_FAMILIES = [((1, 1), 25_000), ((4, 3), 25_000), ((8, 7), 25_000), ((9, 22
                    ((12, 51), 5_000), ((16, 111), 5_000)]
 
 
-def test_seeded_m2_clouds_keep_their_digests():
-    # 18 clouds, seeds 1-3, hashed in the order family, seed: the points' bytes,
-    # and json.dumps(sidecar, sort_keys=True).  The proposal uses only +, *, /,
-    # sqrt and gathers, so the bits do not depend on the platform's libm
+def _seeded_digests(sample):
+    """sha256 of the points' bytes and of json.dumps(sidecar, sort_keys=True) over 18 clouds, in the order family, seed."""
     points, sidecars = hashlib.sha256(), hashlib.sha256()
     for pair, count in SEEDED_FAMILIES:
         fam = FKMFamily.from_pair(*pair)
         for seed in (1, 2, 3):
-            cloud = fkm.sample_focal_M2(fam, count, seed)
+            cloud = sample(fam, count, seed)
             points.update(cloud.points.tobytes())
             sidecars.update(json.dumps(cloud.sidecar(), sort_keys=True).encode())
-    assert points.hexdigest() == "178a0a13ee03adc20a8ccb3744bc1575e86027c1c45f3c60ce61cdaf2294c25f"
-    assert sidecars.hexdigest() == "1a1f4c636bda571a4c7d18ad89b27568bec0d5e73363ed0ec7cfc0d2a94c7850"
+    return points.hexdigest(), sidecars.hexdigest()
+
+
+# Both focal proposals use only +, *, /, sqrt and gathers, so the bits do not
+# depend on the platform's libm
+def test_seeded_m2_clouds_keep_their_digests():
+    assert _seeded_digests(fkm.sample_focal_M2) == (
+        "178a0a13ee03adc20a8ccb3744bc1575e86027c1c45f3c60ce61cdaf2294c25f",
+        "1a1f4c636bda571a4c7d18ad89b27568bec0d5e73363ed0ec7cfc0d2a94c7850")
+
+
+def test_seeded_m1_clouds_keep_their_digests():
+    assert _seeded_digests(fkm.sample_focal_M1) == (
+        "612d131f4233918aadcf55bba2056235f3b37f86e98999fb49a82b63fb2818d7",
+        "29e3d6e42a1a03a75d4070da8cb1b0e961fb2d93f34b46bcda3a1a192893a6bd")
 
 
 def test_m2_clouds_record_their_proposal(fam11, tmp_path):
-    cloud = fkm.sample_focal_M2(fam11, 5, seed=68)
-    cloud.save(tmp_path / "m2.csv")
-    assert cloud.meta["proposal"] == json.loads((tmp_path / "m2.json").read_text())["proposal"] == "half_space"
-    assert "proposal" not in fkm.sample_focal_M1(fam11, 5, seed=68).meta
+    # and so do M1 clouds; neither earlier proposal recorded one
+    for name, sample, proposal in (("m2", fkm.sample_focal_M2, "half_space"),
+                                   ("m1", fkm.sample_focal_M1, "sphere_bundle")):
+        cloud = sample(fam11, 5, seed=68)
+        cloud.save(tmp_path / f"{name}.csv")
+        assert cloud.meta["proposal"] == json.loads((tmp_path / f"{name}.json").read_text())["proposal"] == proposal

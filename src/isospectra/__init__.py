@@ -7,8 +7,8 @@ Modules by concern:
 * ``fkm``           the Clifford quartic, level-set/focal sampling, shape operators
 * ``certificates``  the eigenvalue inequality chain, decided by integer inequalities
                     and cross-checked in floating point
-* ``exact``         quadratic surds; exact half-integer Gamma/Beta and sign decisions,
-                    kept as the oracle the certificates are tested against
+* ``exact``         exact half-integer Gamma/Beta and sign decisions, kept as the
+                    oracle the certificates are tested against
 """
 
 import logging

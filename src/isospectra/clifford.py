@@ -146,7 +146,10 @@ class CliffordSystem:
         if not (perm.ndim == 2 and perm.shape == sign.shape and len(perm) and perm.shape[1] % 2 == 0):
             raise ValueError(f"perm and sign must have one shape (m + 1, 2l), got {perm.shape} and {sign.shape}")
         # checked before the cast to int64, so that no value is rounded into range
-        valid = (np.abs(sign) == 1).all(axis=1) & (np.sort(perm, axis=1) == np.arange(perm.shape[1])).all(axis=1)
+        # and no imaginary part is dropped (|1j| = 1)
+        real = not (np.iscomplexobj(perm) or np.iscomplexobj(sign))
+        valid = real & (np.abs(sign) == 1).all(axis=1)
+        valid &= (np.sort(perm, axis=1) == np.arange(perm.shape[1])).all(axis=1)
         if not valid.all():
             raise ValueError(f"P_{int(np.argmin(valid))} is not a signed permutation")
         for name, a in (("perm", perm), ("sign", sign)):

@@ -1,13 +1,11 @@
-"""Exact scalar arithmetic: quadratic surds, half-integer Gamma/Beta, sign decisions.
+"""Exact scalar arithmetic: half-integer Gamma/Beta and sign decisions.
 
-* ``Surd`` values ``a + b*sqrt(d)`` with rational a, b and integer d >= 0,
-  the single-radical case of ``sign_of_terms`` and of the test oracle (the
-  package's minimal angle is a float and an integer triplet, no surd);
 * ``PiRational`` values ``r * pi**(k/2)`` with rational r (every Beta/Gamma
   ratio of half-integer arguments has this shape);
 * ``sign_of_terms`` decides the sign of a finite sum of terms
-  ``c * sqrt(d) * pi**p`` exactly — in pure rational/surd arithmetic when no
-  pi is involved, otherwise by interval arithmetic at escalating precision.
+  ``c * sqrt(d) * pi**p`` exactly: by squaring in rational arithmetic when
+  no pi and at most one radical is involved, otherwise by interval
+  arithmetic at escalating precision.
 
 The certificates decide their verdicts by integer inequalities; the closed
 forms here, built from full factorials, are the oracle those verdicts and
@@ -57,114 +55,6 @@ def _split_square(n: int) -> tuple[int, int]:
 
 
 @dataclass(frozen=True)
-class Surd:
-    """Exact value ``rational + coef * sqrt(radicand)``.
-
-    The radicand is normalized to be square-free; perfect squares fold into
-    the rational part.  Arithmetic is closed under addition of rationals,
-    multiplication by rationals, and multiplication of two surds over the
-    same radicand.
-    """
-
-    rational: Fraction
-    coef: Fraction
-    radicand: int
-
-    def __post_init__(self):
-        rat = Fraction(self.rational)
-        coe = Fraction(self.coef)
-        rad = int(self.radicand)
-        if rad < 0:
-            raise ValueError("radicand must be nonnegative")
-        sq, rest = _split_square(rad)
-        coe, rad = coe * sq, rest
-        if rad == 1:
-            rat, coe = rat + coe, Fraction(0)
-        if coe == 0 or rad == 0:
-            coe, rad = Fraction(0), 1
-        object.__setattr__(self, "rational", rat)
-        object.__setattr__(self, "coef", coe)
-        object.__setattr__(self, "radicand", rad)
-
-    @staticmethod
-    def from_rational(q) -> "Surd":
-        return Surd(Fraction(q), Fraction(0), 1)
-
-    def __float__(self) -> float:
-        return float(self.rational) + float(self.coef) * math.sqrt(self.radicand)
-
-    def __add__(self, other):
-        if isinstance(other, Surd):
-            if self.coef == 0:
-                return Surd(self.rational + other.rational, other.coef, other.radicand)
-            if other.coef == 0 or other.radicand == self.radicand:
-                return Surd(self.rational + other.rational, self.coef + other.coef, self.radicand)
-            raise ValueError("cannot add surds over different radicands")
-        return Surd(self.rational + Fraction(other), self.coef, self.radicand)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return Surd(-self.rational, -self.coef, self.radicand)
-
-    def __sub__(self, other):
-        return self + (-other if isinstance(other, Surd) else Surd.from_rational(-Fraction(other)))
-
-    def __rsub__(self, other):
-        return (-self) + Fraction(other)
-
-    def __mul__(self, other):
-        if isinstance(other, Surd):
-            if self.coef == 0 or other.coef == 0 or other.radicand == self.radicand:
-                d = max(self.radicand, other.radicand)
-                rat = self.rational * other.rational + self.coef * other.coef * d
-                coe = self.rational * other.coef + self.coef * other.rational
-                return Surd(rat, coe, d)
-            raise ValueError("cannot multiply surds over different radicands")
-        q = Fraction(other)
-        return Surd(self.rational * q, self.coef * q, self.radicand)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        q = Fraction(other)
-        return Surd(self.rational / q, self.coef / q, self.radicand)
-
-    def sign(self) -> int:
-        """Exact sign in {-1, 0, +1}."""
-        a, b, d = self.rational, self.coef, self.radicand
-        if b == 0:
-            return (a > 0) - (a < 0)
-        if a == 0:
-            return 1 if b > 0 else -1
-        if a > 0 and b > 0:
-            return 1
-        if a < 0 and b < 0:
-            return -1
-        # opposite signs: compare a^2 against b^2 d
-        lhs, rhs = a * a, b * b * d
-        if lhs == rhs:
-            return 0
-        bigger_rational = lhs > rhs
-        return (1 if bigger_rational else -1) * (1 if a > 0 else -1)
-
-    def _cmp(self, other) -> int:
-        return (self - other).sign()
-
-    def __lt__(self, other):
-        return self._cmp(other) < 0
-
-    def __le__(self, other):
-        return self._cmp(other) <= 0
-
-    def __gt__(self, other):
-        return self._cmp(other) > 0
-
-    def __ge__(self, other):
-        return self._cmp(other) >= 0
-
-
-@dataclass(frozen=True)
 class PiRational:
     """Exact value ``frac * pi**(half_pi/2)`` (half_pi counts powers of sqrt(pi))."""
 
@@ -209,10 +99,11 @@ def beta_half(two_x: int, two_y: int) -> PiRational:
 def sign_of_terms(terms) -> int:
     """Exact sign of ``sum(c * sqrt(d) * pi**p)`` over (c, d, p) terms.
 
-    c may be Fraction/int, d a positive integer (1 for no radical), p an
-    integer power of pi.  Sums free of pi over at most one radical are
-    decided in rational arithmetic; everything else goes through interval
-    arithmetic whose precision doubles until the sign is certain.
+    c may be Fraction/int, d a nonnegative integer (1 for no radical), p an
+    integer power of pi.  Sums free of pi over at most one radical, a + b
+    sqrt(d), are decided in rational arithmetic by comparing a^2 with b^2 d;
+    everything else goes through interval arithmetic whose precision doubles
+    until the sign is certain.  ValueError for a negative radicand.
 
     Raises ArithmeticError if the sign is still ambiguous at ``_MAX_PREC`` bits
     (in practice only possible when the sum is exactly zero).
@@ -222,17 +113,23 @@ def sign_of_terms(terms) -> int:
         c = Fraction(c)
         if c != 0:
             sq, rest = _split_square(int(d))
-            cleaned.append((c * sq, rest, int(p)))
+            if rest:  # sqrt(0) contributes nothing
+                cleaned.append((c * sq, rest, int(p)))
     if not cleaned:
         return 0
 
     if all(p == 0 for _, _, p in cleaned):
         radicands = {d for _, d, _ in cleaned if d != 1}
         if len(radicands) <= 1:
-            d = radicands.pop() if radicands else 1
-            rat = sum((c for c, dd, _ in cleaned if dd == 1), Fraction(0))
-            coe = sum((c for c, dd, _ in cleaned if dd == d and d != 1), Fraction(0))
-            return Surd(rat, coe, d).sign()
+            # a + b sqrt(d): the sign of a + b when a and b agree or one is 0,
+            # else sign(a) times the sign of a^2 - b^2 d
+            a = sum((c for c, d, _ in cleaned if d == 1), Fraction(0))
+            b = sum((c for c, d, _ in cleaned if d != 1), Fraction(0))
+            if a * b >= 0:
+                a += b
+            else:
+                a *= a * a - b * b * radicands.pop()
+            return (a > 0) - (a < 0)
 
     from mpmath import iv
 

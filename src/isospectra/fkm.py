@@ -189,7 +189,10 @@ class FKMFamily:
 
 
 def _check_dim(family: FKMFamily, x: np.ndarray) -> np.ndarray:
-    x = np.asarray(x, dtype=np.float64)
+    x = np.asarray(x)
+    if np.iscomplexobj(x):
+        raise ValueError(f"point is complex, family lives on R^{family.ambient_dim}")
+    x = x.astype(np.float64, copy=False)
     if x.ndim == 0:
         raise ValueError(f"point is a scalar, family lives on R^{family.ambient_dim}")
     if x.shape[-1] != family.ambient_dim:
@@ -300,16 +303,19 @@ def _drawn_ahead(rng, x: np.ndarray):
         pool.shutdown(cancel_futures=True)
 
 
-def _forms(family: FKMFamily, signed: np.ndarray, q: np.ndarray, px: np.ndarray, tmp: np.ndarray):
-    """The forms of one feature-major block in block form, one gather at a time.
+def _block_forms(family: FKMFamily, signed: np.ndarray, q: np.ndarray, px: np.ndarray, tmp: np.ndarray,
+                 grad: np.ndarray | None = None) -> np.ndarray:
+    """The forms of one feature-major block in block form, and grad F if asked; returns r.
 
     ``signed`` is the block's (2d, n) [x | -x] from ``_feature_blocks``, with
-    x = (a, b) and a, b in R^l.  A generator: it writes q_0 = |a|^2 - |b|^2
-    into q[0] and yields r = |a|^2 + |b|^2; then, for i = 1..m, it gathers the
-    first len(px) rows of P_i x into px, writes q_i = 2 <a, B_i b> into q[i]
-    and yields q[i].  P_i x = (B_i b, B_i^T a) and <B_i^T a, b> = <a, B_i b>
-    give that q_i; B_i b is the top half of P_i x, so px may hold l rows (the
-    forms alone) or d (all of P_i x, for the gradient).  tmp is (d, n) scratch.
+    x = (a, b) and a, b in R^l.  It writes q_0 = |a|^2 - |b|^2 into q[0];
+    then, for i = 1..m, it gathers the first len(px) rows of P_i x into px and
+    writes q_i = 2 <a, B_i b> into q[i].  P_i x = (B_i b, B_i^T a) and
+    <B_i^T a, b> = <a, B_i b> give that q_i; B_i b is the top half of P_i x,
+    so px may hold l rows (the forms alone) or d (all of P_i x, for the
+    gradient).  Given a (d, n) ``grad``, it accumulates grad F =
+    4 r x - 8 sum_i q_i P_i x there over i = 0..m in that order, P_0 x = (a, -b)
+    taken from x itself.  tmp is (d, n) scratch; r = |a|^2 + |b|^2.
     """
     x = signed[: len(signed) // 2]
     l = len(x) // 2
@@ -317,37 +323,19 @@ def _forms(family: FKMFamily, signed: np.ndarray, q: np.ndarray, px: np.ndarray,
     squares = np.multiply(x, x, out=tmp)
     a2, b2 = _row_sums(squares[:l]), _row_sums(squares[l:])
     np.subtract(a2, b2, out=q[0])
-    yield a2 + b2
+    r = a2 + b2
+    if grad is not None:
+        np.multiply(4.0 * r, x, out=grad)
+        step = 8.0 * q[0]
+        grad[:l] -= np.multiply(step, a, out=tmp[:l])
+        grad[l:] += np.multiply(step, x[l:], out=tmp[:l])  # minus 8 q_0 (-b)
     for index, qi in zip(family._gathers[1:], q[1:]):
         # mode="clip" lets np.take write straight into px ("raise" buffers)
         np.take(signed, index[: len(px)], axis=0, out=px, mode="clip")
         np.multiply(_row_sums(np.multiply(px[:l], a, out=tmp[:l])), 2.0, out=qi)
-        yield qi
-
-
-def _block_forms(family: FKMFamily, signed: np.ndarray, q: np.ndarray, grad: np.ndarray,
-                 px: np.ndarray, tmp: np.ndarray) -> np.ndarray:
-    """r, q (``_forms``) and grad F = 4 r x - 8 sum_i q_i P_i x of one feature-major block.
-
-    In block form r = |a|^2 + |b|^2, q_0 = |a|^2 - |b|^2 and q_i = 2 <a, B_i b>
-    for x = (a, b), since P_0 x = (a, -b), P_i x = (B_i b, B_i^T a) and
-    <B_i^T a, b> = <a, B_i b>.  q (m+1, n) and grad (d, n) receive the forms
-    and the gradient, and px and tmp are (d, n) scratch.  Returns r.  Each
-    P_i x, i >= 1, is gathered whole, since the gradient needs it, but its
-    form multiplies and sums only the top half B_i b; P_0 x is taken from x
-    itself.  grad accumulates over i = 0..m in that order.
-    """
-    x = signed[: len(grad)]
-    l = len(x) // 2
-    forms = _forms(family, signed, q, px, tmp)
-    r = next(forms)
-    np.multiply(4.0 * r, x, out=grad)
-    step = 8.0 * q[0]
-    grad[:l] -= np.multiply(step, x[:l], out=tmp[:l])
-    grad[l:] += np.multiply(step, x[l:], out=tmp[:l])  # minus 8 q_0 (-b)
-    for qi in forms:
-        px *= 8.0 * qi
-        grad -= px
+        if grad is not None:
+            px *= 8.0 * qi
+            grad -= px
     return r
 
 
@@ -359,7 +347,7 @@ def _forms_and_gradient(family: FKMFamily, x: np.ndarray):
     q = np.empty((len(flat), k))
     grad = np.empty(flat.shape)
     for rows, signed, qb, gb, px, tmp in _feature_blocks(flat, k, d, d, d):
-        r[rows] = _block_forms(family, signed, qb, gb, px, tmp)
+        r[rows] = _block_forms(family, signed, qb, px, tmp, gb)
         q[rows] = qb.T
         grad[rows] = gb.T
     lead = x.shape[:-1]
@@ -371,15 +359,14 @@ def quadratic_forms(family: FKMFamily, x) -> np.ndarray:
 
     For x = (a, b) in block form q_0 = |a|^2 - |b|^2 and q_i = 2 <a, B_i b>
     for i >= 1, since P_i x = (B_i b, B_i^T a) and <B_i^T a, b> = <a, B_i b>
-    (``_forms``): m gathers, products and sums of width l per block.
+    (``_block_forms``): m gathers, products and sums of width l per block.
     """
     x = _check_dim(family, x)
     flat = x.reshape(-1, x.shape[-1])
     l = flat.shape[1] // 2
     q = np.empty((len(flat), len(family._gathers)))
     for rows, signed, qb, half, tmp in _feature_blocks(flat, len(family._gathers), l, 2 * l):
-        for _ in _forms(family, signed, qb, half, tmp):
-            pass  # each step writes one form into qb
+        _block_forms(family, signed, qb, half, tmp)
         q[rows] = qb.T
     return q.reshape(x.shape[:-1] + q.shape[-1:])
 
@@ -536,8 +523,8 @@ def _sample(family: FKMFamily, count, seed: int, tol, level, target: float, prop
     for arg, value in (("count", count), ("seed", seed)):
         if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 0:
             raise ValueError(f"{arg} must be an int >= 0, got {value!r}")
-    if isinstance(tol, bool) or not isinstance(tol, numbers.Real) or not tol > 0:
-        raise ValueError(f"tol must be a real number > 0, got {tol!r}")
+    if isinstance(tol, bool) or not isinstance(tol, numbers.Real) or not 0 < tol < math.inf:
+        raise ValueError(f"tol must be a finite real number > 0, got {tol!r}")
     name = level if isinstance(level, str) else f"level set f = {level}"
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     out = np.empty((count, family.ambient_dim))
@@ -582,7 +569,7 @@ def _transported_draws(family: FKMFamily, rng, out: np.ndarray, theta: float) ->
         for rows, signed, q, xi, px, tmp in _feature_blocks(out, k, d, d, d, wait=drawn):
             x = signed[:d]
             signed /= _row_norms(x, tmp)  # both halves: -x / |x| is -(x / |x|)
-            r = _block_forms(family, signed, q, xi, px, tmp)
+            r = _block_forms(family, signed, q, px, tmp, xi)
             f = r**2 - 2.0 * _row_sums(q * q)
             keep[rows] = ok = np.abs(f) < 1.0 - 1e-8
             # the spherical gradient, then the unit normal; dropped rows divide by 1

@@ -10,7 +10,7 @@ from isospectra import catalog
 from isospectra.catalog import MultiplicityPair, pair_g4
 from isospectra.certificates import _sin2_theta_alpha
 from isospectra.errors import InvalidPairError, UnsupportedCaseError
-from isospectra.exact import Surd
+from isospectra.exact import _split_square
 
 
 # -- validation ------------------------------------------------------------------
@@ -294,8 +294,10 @@ def test_sin2_theta1_triplet_values():
 def _scanned_triplet(pair):
     """The first implementation: for the largest g | gcd(num, den) with g^2 | k^2 d, scanned down."""
     s = pair.m1 + pair.m2
-    surd = Surd(Fraction(1, 2), Fraction(-1, 2 * s), pair.m2 * s)
-    a, c, d = surd.rational, -surd.coef, surd.radicand
+    sq, d = _split_square(pair.m2 * s)
+    a, c = Fraction(1, 2), Fraction(sq, 2 * s)  # sin^2 = a - c sqrt(d), d square-free
+    if d == 1:  # a perfect square folds into the rational part
+        a, c = a - c, Fraction(0)
     den = a.denominator * c.denominator // math.gcd(a.denominator, c.denominator)
     num = int(a * den)
     k = int(c * den)

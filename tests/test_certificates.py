@@ -11,7 +11,7 @@ from isospectra import certificates as certs
 from isospectra import exact
 from isospectra.catalog import MultiplicityPair, admissible_pairs, clifford_multiplier, delta, pair_g4
 from isospectra.errors import DivergenceError, UnsupportedCaseError
-from isospectra.exact import PiRational, Surd, beta_half, gamma_half, sign_of_terms
+from isospectra.exact import PiRational, beta_half, gamma_half, sign_of_terms
 
 
 def _gamma_recurrence(two_x):
@@ -44,24 +44,24 @@ def _oracle_G(m1, m2) -> PiRational:
     return beta_half(m1 + 1, m2 + 1) / 2
 
 
-def _oracle_A(m1, m2) -> Surd:
+def _oracle_A(m1, m2) -> list:
+    """Terms of A = c (s + sqrt(s m2)), c = 2 (s + 1)(m1 - 1) / (s^2 m1)."""
     s = m1 + m2
     coef = Fraction(2 * (s + 1) * (m1 - 1), s * s * m1)
-    return Surd(coef * s, coef, s * m2)
+    return [(coef * s, 1, 0), (coef, s * m2, 0)]
 
 
 def _oracle_K_end(m_in, m_out) -> list:
     """Terms of sin^2(theta) [B((a-1)/2, (b+1)/2) + B((a-1)/2, (b+2)/2)] / 2.
 
-    (a, b) = (m1, m2) gives K_1; the swapped multiplicities give K_4.
+    (a, b) = (m1, m2) gives K_1; the swapped multiplicities give K_4, and
+    sin^2(theta) = 1/2 - sqrt(b s) / (2 s) gives two terms per Beta value.
     """
     s = m_in + m_out
-    sin2 = Surd(Fraction(1, 2), Fraction(-1, 2 * s), m_out * s)
     terms = []
     for b in (beta_half(m_in - 1, m_out + 1), beta_half(m_in - 1, m_out + 2)):
         c, _, p = _pi_term(b, Fraction(1, 2))
-        terms.append((sin2.rational * c, 1, p))
-        terms.append((sin2.coef * c, sin2.radicand, p))
+        terms += [(c / 2, 1, p), (-c / (2 * s), m_out * s, p)]
     return terms
 
 
@@ -76,9 +76,8 @@ def _oracle_verdicts(m1, m2) -> dict:
 
     return {
         "S_lt_1": sign_of_terms([(1, 1, 0), _pi_term(S, -1)]) > 0,
-        "A_ge_2": (A - 2).sign() >= 0,
-        "one_plus_S_lt_A": sign_of_terms(
-            [(A.rational - 1, 1, 0), (A.coef, A.radicand, 0), _pi_term(S, -1)]) > 0,
+        "A_ge_2": sign_of_terms(A + [(-2, 1, 0)]) >= 0,
+        "one_plus_S_lt_A": sign_of_terms(A + [(-1, 1, 0), _pi_term(S, -1)]) > 0,
         "K1": below_bound(_oracle_K_end(m1, m2)),
         "K4": below_bound(_oracle_K_end(m2, m1)),
     }
@@ -131,8 +130,7 @@ def test_lgamma_floats_within_error_bounds():
         assert _within(s.value, s.error_bound, [_pi_term(_oracle_S(m1, m2))]), (m1, m2)
         assert _within(k1.value, k1.error_bound, _oracle_K_end(m1, m2)), (m1, m2)
         assert _within(k4.value, k4.error_bound, _oracle_K_end(m2, m1)), (m1, m2)
-        A = _oracle_A(m1, m2)
-        assert _within(a.value, a.error_bound, [(A.rational, 1, 0), (A.coef, A.radicand, 0)])
+        assert _within(a.value, a.error_bound, _oracle_A(m1, m2))
 
 
 def test_quadrature_error_covers_closed_form():

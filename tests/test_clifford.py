@@ -235,7 +235,9 @@ def test_wrong_shape_reported():
     for matrices in ((), (np.eye(3, dtype=np.int64),)):
         with pytest.raises(ValueError, match=r"one shape \(m \+ 1, 2l\)"):
             CliffordSystem.from_matrices(matrices)
-    for perm, sign in ((sys.perm, 2 * sys.sign), (sys.perm % 3, sys.sign), (sys.perm, 1.5 * sys.sign)):
+    # |1j| = 1, but an int64 cast would store sign 0
+    for perm, sign in ((sys.perm, 2 * sys.sign), (sys.perm % 3, sys.sign), (sys.perm, 1.5 * sys.sign),
+                       (sys.perm, 1j * sys.sign)):
         with pytest.raises(ValueError, match="^P_0 is not a signed permutation$"):
             CliffordSystem(perm, sign)
 

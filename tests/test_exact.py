@@ -6,17 +6,13 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+import mpmath
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import isospectra
-from isospectra.exact import PiRational, Surd, _split_square, beta_half, gamma_half, sign_of_terms
-
-
-def test_surd_normalizes_square_factors():
-    s = Surd(Fraction(0), Fraction(1), 4)  # sqrt(4) = 2
-    assert s.rational == 2 and s.coef == 0 and s.radicand == 1
-    s = Surd(Fraction(1, 2), Fraction(-1, 8), 8)  # sqrt(8) = 2 sqrt(2)
-    assert s.coef == Fraction(-1, 4) and s.radicand == 2
+from isospectra.exact import PiRational, _split_square, beta_half, gamma_half, sign_of_terms
 
 
 def _trial_split_square(n: int) -> tuple[int, int]:
@@ -41,35 +37,6 @@ def test_split_square_matches_trial_division():
     large += [999983**2 * 1000003, 999983 * 1000003]
     for n in large:
         assert _split_square(n) == _trial_split_square(n), n
-
-
-def test_surd_float_and_arithmetic():
-    s = Surd(Fraction(1, 2), Fraction(-1, 4), 2)  # (2 - sqrt 2) / 4
-    assert math.isclose(float(s), (2 - math.sqrt(2)) / 4, rel_tol=1e-15)
-    t = s * 4 - 2  # -sqrt(2)
-    assert t.rational == 0 and t.coef == -1 and t.radicand == 2
-    prod = t * t  # 2
-    assert prod.rational == 2 and prod.coef == 0
-
-
-def test_surd_sign_all_quadrants():
-    assert Surd(Fraction(1), Fraction(1), 2).sign() == 1
-    assert Surd(Fraction(-1), Fraction(-1), 2).sign() == -1
-    # 3 - 2 sqrt(2) > 0 since 9 > 8
-    assert Surd(Fraction(3), Fraction(-2), 2).sign() == 1
-    # 2 - 2 sqrt(2) < 0
-    assert Surd(Fraction(2), Fraction(-2), 2).sign() == -1
-    # -3 + 2 sqrt(2) < 0 and -2 + 2 sqrt(2) > 0
-    assert Surd(Fraction(-3), Fraction(2), 2).sign() == -1
-    assert Surd(Fraction(-2), Fraction(2), 2).sign() == 1
-    # exact zero: 2 - sqrt(4)
-    assert Surd(Fraction(2), Fraction(-1), 4).sign() == 0
-
-
-def test_surd_comparisons():
-    s = Surd(Fraction(1, 2), Fraction(-1, 4), 2)
-    assert s > 0 and s < 1 and s < Fraction(1, 2)
-    assert (1 - s).sign() == 1
 
 
 def test_gamma_half_values():
@@ -100,9 +67,34 @@ def test_beta_half_classical_values():
 
 def test_sign_of_terms_rational_and_surd():
     assert sign_of_terms([(Fraction(1, 3), 1, 0), (Fraction(-1, 4), 1, 0)]) == 1
-    assert sign_of_terms([(Fraction(3), 1, 0), (Fraction(-2), 2, 0)]) == 1
     assert sign_of_terms([]) == 0
+    # a + b sqrt(2) in every quadrant of (a, b): 1 + sqrt 2, -1 - sqrt 2,
+    # 3 - 2 sqrt 2 > 0 since 9 > 8, 2 - 2 sqrt 2, -3 + 2 sqrt 2 and -2 + 2 sqrt 2
+    for a, b, sign in ((1, 1, 1), (-1, -1, -1), (3, -2, 1), (2, -2, -1), (-3, 2, -1), (-2, 2, 1)):
+        assert sign_of_terms([(Fraction(a), 1, 0), (Fraction(b), 2, 0)]) == sign, (a, b)
+    # square factors fold: 2 - sqrt 4 = 0, sqrt 8 - 2 sqrt 2 = 0, 1/2 - sqrt(8)/8 > 0
     assert sign_of_terms([(Fraction(2), 1, 0), (Fraction(-1), 4, 0)]) == 0
+    assert sign_of_terms([(1, 8, 0), (-2, 2, 0)]) == 0
+    assert sign_of_terms([(Fraction(1, 2), 1, 0), (Fraction(-1, 8), 8, 0)]) == 1
+    # sqrt 0 contributes nothing: 5 sqrt 0 - 1 < 0, and 3 sqrt 2 - 3 sqrt 2 - 2 sqrt 0 = 0
+    assert sign_of_terms([(5, 0, 0), (-1, 1, 0)]) == -1
+    assert sign_of_terms([(3, 2, 0), (-3, 2, 0), (-2, 0, 0)]) == 0
+    with pytest.raises(ValueError, match="nonnegative"):
+        sign_of_terms([(1, 1, 0), (1, -2, 0)])
+
+
+@given(st.fractions(max_denominator=10**4), st.fractions(max_denominator=10**4),
+       st.integers(0, 100).map(lambda k: k * k) | st.integers(0, 10**4), st.none() | st.integers(0, 12), st.booleans())
+def test_sign_of_terms_of_one_radical_matches_mpmath(a, b, d, digits, round_up):
+    if digits is not None:
+        # a = -b sqrt(d) cut after `digits` decimals: exact for a square d rounded down, else a near miss
+        a = -b * Fraction(math.isqrt(d * 100**digits) + round_up, 10**digits)
+    got = sign_of_terms([(a, 1, 0), (b, d, 0)])
+    with mpmath.workdps(60):
+        value = mpmath.mpf(a.numerator) / a.denominator + mpmath.mpf(b.numerator) / b.denominator * mpmath.sqrt(d)
+        if abs(value) > mpmath.mpf(10) ** -40:
+            assert got == (1 if value > 0 else -1)
+    assert (got == 0) == (a * a == b * b * d and a * b <= 0)
 
 
 def test_sign_of_terms_with_pi():
@@ -118,7 +110,9 @@ def test_sign_of_terms_with_pi():
 
 def test_the_package_imports_neither_scipy_nor_mpmath():
     # mpmath stays a lazy import of sign_of_terms; scipy is for the tests only
+    # the single-radical branch decides 3 - 2 sqrt 2 without it
     code = ("import sys; from isospectra import catalog, certificates, clifford, exact, fkm; "
+            "exact.sign_of_terms([(3, 1, 0), (-2, 2, 0)]); "
             "print(sorted({'scipy', 'mpmath'} & {name.split('.')[0] for name in sys.modules}))")
     src = str(Path(isospectra.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}

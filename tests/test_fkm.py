@@ -74,6 +74,9 @@ def test_eval_F_zero_and_homogeneity(fam43):
 def test_eval_F_dimension_mismatch(fam11):
     with pytest.raises(ValueError, match="dimension"):
         fkm.eval_F(fam11, np.zeros(5))
+    # a float64 cast would drop the imaginary part
+    with pytest.raises(ValueError, match="complex"):
+        fkm.eval_F(fam11, np.full(fam11.ambient_dim, 0.5 + 1j))
 
 
 def test_scalar_point_is_rejected(fam11):
@@ -236,12 +239,13 @@ def test_one_pass_over_the_matrices_per_step(fam43, monkeypatch):
 
 def test_samplers_make_one_pass_per_batch(fam43, monkeypatch):
     passes, checks = [], []
-    # every gradient pass, whole-batch or per block, goes through _block_forms
+    # every gradient pass, whole-batch or per block, is a _block_forms call given a gradient buffer
     kernel, check = fkm._block_forms, fkm.eval_F
 
-    def counting_kernel(*args):
-        passes.append(1)
-        return kernel(*args)
+    def counting_kernel(family, signed, q, px, tmp, grad=None):
+        if grad is not None:
+            passes.append(1)
+        return kernel(family, signed, q, px, tmp, grad)
 
     def counting_check(family, x):
         checks.append(1)
@@ -802,7 +806,8 @@ def test_sampler_rejects_a_seed_that_is_no_nonnegative_int(fam11, which):
 
 @pytest.mark.parametrize("which", SAMPLERS)
 def test_sampler_rejects_nonpositive_tol(fam11, which):
-    for tol in (0.0, -1.0, float("nan")):
+    # tol = inf would turn the level check off and write Infinity, no JSON, into the sidecar
+    for tol in (0.0, -1.0, float("nan"), float("inf")):
         with pytest.raises(ValueError, match="tol"):
             SAMPLERS[which](fam11, 10, tol)
 

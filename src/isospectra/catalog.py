@@ -19,25 +19,14 @@ from __future__ import annotations
 
 import json
 import math
-import operator
 from dataclasses import dataclass
 
 from .errors import InvalidPairError, UnsupportedCaseError
-from .exact import _split_square
+from .exact import _integer, _split_square
 
 SCHEMA_VERSION = 1
 
 _DELTA_TABLE = (1, 2, 4, 4, 8, 8, 8, 8)
-
-
-def _integer(name: str, value, error=ValueError) -> int:
-    """value as a Python int; ``error`` for a bool or anything ``operator.index`` refuses."""
-    if not isinstance(value, bool):
-        try:
-            return operator.index(value)
-        except TypeError:
-            pass
-    raise error(f"{name} must be an int, got {value!r}")
 
 
 def delta(m: int) -> int:

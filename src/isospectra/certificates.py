@@ -52,9 +52,7 @@ import numpy as np
 
 from .catalog import (
     MultiplicityPair,
-    _integer,
     clifford_pairs,
-    delta,
     focal_dimensions,
     hypersurface_dimension,
     is_ot_fkm,
@@ -62,6 +60,7 @@ from .catalog import (
     sin2_theta1_triplet,
 )
 from .errors import DivergenceError, UnsupportedCaseError
+from .exact import _integer
 # perfbench/tracing.py wraps these by name in this module; no certificate calls them
 from .exact import beta_half, gamma_half, sign_of_terms  # noqa: F401
 
@@ -305,8 +304,10 @@ def integral_K(pair: MultiplicityPair, alpha: int) -> IntegralValue:
     The alpha = 1 integrand sin^m1(2x) cos^m2(2x) / sin^2(x) is rewritten as
     4 cos^2(x) sin^(m1-2)(2x) cos^m2(2x), smooth for m1 >= 2 and free of any
     2^m1 factor that would overflow (alpha = 4 mirrors with m1 <-> m2);
-    m1 = 1 (resp. m2 = 1) diverges.
+    m1 = 1 (resp. m2 = 1) diverges.  theta_alpha = theta_1 + (alpha-1) pi/4 holds for g=4 only.
     """
+    if pair.g != 4:
+        raise UnsupportedCaseError(f"K_alpha is defined for g=4 pairs, got g={pair.g}")
     m1, m2 = pair.m1, pair.m2
     sin2 = _sin2_theta_alpha(pair, alpha)
     end = alpha in (1, 4)
@@ -458,8 +459,14 @@ class FocalCertificate:
     """Verdict for lambda_1(M_i) = dim M_i on a focal submanifold, exact arithmetic.
 
     ``solomon_upper`` = 4 m_other is Solomon's eigenvalue on M2 of the FKM family
-    built with m = m_other, which has the dimension of M_i.  That family is congruent
-    to ``FKMFamily.from_pair(m1, m2)``'s only for (2,1), (6,1), (5,2) and the indefinite (4,3).
+    built with m = m_other, which has the dimension of M_i (None when (m_other, m_this)
+    is no FKM pair).  That family is congruent to ``FKMFamily.from_pair(m1, m2)``'s only
+    for (2,1), (6,1), (5,2) and the indefinite (4,3).  The certificate reads one of three ways:
+
+    * ``covered``, when 2 m_other >= m_this + 3: lambda_1 = dim;
+    * the stable range 2 m_other < m_this: lambda_1 <= ``solomon_upper`` < dim on that
+      family's M2, wherever ``solomon_upper`` is set;
+    * the band m_this <= 2 m_other <= m_this + 2 in between: undetermined.
     """
 
     pair: MultiplicityPair
@@ -521,57 +528,10 @@ def certify_focal(pair: MultiplicityPair, which: str) -> FocalCertificate:
     )
 
 
-# -- Solomon comparison ---------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SolomonReport:
-    """4*m1 (an eigenvalue upper bound on M2) against dim M2 = 2 m1 + m2."""
-
-    m1: int
-    m2: int
-    solomon_upper: int
-    dim_M2: int
-    classification: str  # certified-equal | strictly-less | undetermined
-    prop_quotient_lambda1: int | None  # min(4, 2+k) when m1 = 1
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-
-def solomon_comparison(m1: int, m2: int) -> SolomonReport:
-    """Classify lambda_1(M2) for the Clifford family (m1, m2).
-
-    * ``certified-equal``: 2 m1 >= m2 + 3, so lambda_1 = dim M2;
-    * ``strictly-less``: 2 m1 < m2 (stable range), lambda_1 <= 4 m1 < dim M2;
-    * ``undetermined``: the boundary band m2 <= 2 m1 <= m2 + 2.
-
-    For m1 = 1 the quotient identification settles the value regardless:
-    lambda_1 = min(4, 2 + m2).
-    """
-    if not is_ot_fkm(m1, m2):
-        raise UnsupportedCaseError(
-            f"({m1}, {m2}) is not of Clifford type in this orientation "
-            f"(delta({m1}) = {delta(m1)})"
-        )
-    dim_m2 = 2 * m1 + m2
-    if 2 * m1 >= m2 + 3:
-        cls = "certified-equal"
-    elif 2 * m1 < m2:
-        cls = "strictly-less"
-    else:
-        cls = "undetermined"
-    quotient = min(4, 2 + m2) if m1 == 1 else None
-    return SolomonReport(m1, m2, 4 * m1, dim_m2, cls, quotient)
-
-
 def solomon_undetermined(max_sum: int) -> list[tuple[int, int]]:
-    """The Clifford pairs whose M2 classification is left undetermined."""
-    return [
-        (a, b)
-        for a, b in clifford_pairs(max_sum)
-        if solomon_comparison(a, b).classification == "undetermined"
-    ]
+    """The Clifford pairs whose M2 certificate reads undetermined (see ``FocalCertificate``)."""
+    focal = (certify_focal(MultiplicityPair(4, a, b), "M2") for a, b in clifford_pairs(max_sum))
+    return [(c.pair.m1, c.pair.m2) for c in focal if c.status != "covered" and c.solomon_upper >= c.dim]
 
 
 # -- batch output -----------------------------------------------------------------------

@@ -33,7 +33,8 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .catalog import _integer, delta
+from .catalog import delta
+from .exact import _integer
 
 SCHEMA_VERSION = 2
 

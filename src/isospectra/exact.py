@@ -16,12 +16,23 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
 # the interval precision, in bits, at which ``sign_of_terms`` gives up
 _MAX_PREC = 8192
+
+
+def _integer(name: str, value, error=ValueError) -> int:
+    """value as a Python int; ``error`` for a bool or anything ``operator.index`` refuses."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise error(f"{name} must be an int, got {value!r}")
 
 
 @functools.lru_cache(maxsize=1024)
@@ -103,18 +114,19 @@ def sign_of_terms(terms) -> int:
     integer power of pi.  Sums free of pi over at most one radical, a + b
     sqrt(d), are decided in rational arithmetic by comparing a^2 with b^2 d;
     everything else goes through interval arithmetic whose precision doubles
-    until the sign is certain.  ValueError for a negative radicand.
+    until the sign is certain.  ValueError for a negative radicand, or a d or
+    p that is no int.
 
     Raises ArithmeticError if the sign is still ambiguous at ``_MAX_PREC`` bits
     (in practice only possible when the sum is exactly zero).
     """
     cleaned = []
     for c, d, p in terms:
-        c = Fraction(c)
+        c, d, p = Fraction(c), _integer("radicand", d), _integer("power of pi", p)
         if c != 0:
-            sq, rest = _split_square(int(d))
+            sq, rest = _split_square(d)
             if rest:  # sqrt(0) contributes nothing
-                cleaned.append((c * sq, rest, int(p)))
+                cleaned.append((c * sq, rest, p))
     if not cleaned:
         return 0
 

@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 
 from isospectra import certificates as certs
 from isospectra import exact
-from isospectra.catalog import MultiplicityPair, admissible_pairs, clifford_multiplier, delta, pair_g4
+from isospectra.catalog import (MultiplicityPair, admissible_pairs, clifford_multiplier, delta, is_ot_fkm,
+                                pair_g4)
 from isospectra.errors import DivergenceError, UnsupportedCaseError
 from isospectra.exact import PiRational, beta_half, gamma_half, sign_of_terms
 
@@ -434,6 +435,11 @@ def test_certify_precondition_guard():
         certs.certify_hypersurface(pair_g4(1, 6))
     with pytest.raises(UnsupportedCaseError):
         certs.certify_hypersurface(pair_g4(1, 1))
+    # theta_alpha = theta_1 + (alpha-1) pi/4 is g=4's; a g=2 pair has no K_3
+    with pytest.raises(UnsupportedCaseError, match="g=4"):
+        certs.integral_K(MultiplicityPair(2, 3, 5), 3)
+    with pytest.raises(UnsupportedCaseError, match="g=4"):
+        certs.threshold_A(MultiplicityPair(2, 3, 5))
 
 
 # (69, 2 delta(69) - 70) puts G = B(35, ~3.4e10)/2 at 0.0; at (67, delta(67) - 68) it is subnormal
@@ -637,34 +643,27 @@ def test_every_admissible_pair_passes_and_its_focal_cover_is_exact(pair):
         focal = certs.certify_focal(pair, which)
         assert focal.equivalence_check
         assert (focal.status == "covered") == (2 * m_other >= m_this + 3)
+        # Solomon's 4 m_other is set exactly on FKM pairs, and below dim exactly in the stable range
+        assert focal.solomon_upper == (4 * m_other if is_ot_fkm(m_other, m_this) else None)
+        if focal.solomon_upper is not None:
+            assert (focal.solomon_upper < focal.dim) == (2 * m_other < m_this)
 
 
 # -- Solomon comparison ----------------------------------------------------------------------
 
 
 def test_solomon_classifications():
-    rep = certs.solomon_comparison(2, 9)
-    assert rep.solomon_upper == 8 and rep.dim_M2 == 13
-    assert rep.classification == "strictly-less"
-    assert certs.solomon_comparison(4, 7).classification == "undetermined"
-    assert certs.solomon_comparison(8, 15).classification == "undetermined"
-    assert certs.solomon_comparison(4, 3).classification == "certified-equal"
-
-
-def test_solomon_quotient_resolution():
-    for k in (1, 2, 6):
-        rep = certs.solomon_comparison(1, k)
-        assert rep.prop_quotient_lambda1 == min(4, 2 + k)
-    assert certs.solomon_comparison(2, 3).prop_quotient_lambda1 is None
-
-
-def test_solomon_rejects_non_clifford():
-    with pytest.raises(UnsupportedCaseError):
-        certs.solomon_comparison(2, 2)
-    for args in ((2.0, 3), (2, 3.0), (True, 1), ("2", 3)):
-        with pytest.raises(ValueError, match="must be an int"):
-            certs.solomon_comparison(*args)
-    assert certs.solomon_comparison(np.int64(2), np.int64(9)) == certs.solomon_comparison(2, 9)
+    # M2 of (2,9) is in the stable range: lambda_1 <= 8 < 13
+    cert = certs.certify_focal(pair_g4(2, 9), "M2")
+    assert cert.solomon_upper == 8 and cert.dim == 13 and cert.status == "not-covered"
+    # (4,7) and (8,15) lie in the band m2 <= 2 m1 <= m2 + 2
+    for pair in ((4, 7), (8, 15)):
+        cert = certs.certify_focal(pair_g4(*pair), "M2")
+        assert cert.status == "not-covered" and cert.solomon_upper >= cert.dim, pair
+    cert = certs.certify_focal(pair_g4(4, 3), "M2")
+    assert cert.status == "covered" and cert.lambda1 == cert.dim == 11 and cert.solomon_upper == 16
+    # (2,2) is no FKM pair, so no Solomon number
+    assert certs.certify_focal(pair_g4(2, 2), "M2").solomon_upper is None
 
 
 def test_solomon_undetermined_is_the_seven():

@@ -7,6 +7,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import mpmath
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -81,6 +82,17 @@ def test_sign_of_terms_rational_and_surd():
     assert sign_of_terms([(3, 2, 0), (-3, 2, 0), (-2, 0, 0)]) == 0
     with pytest.raises(ValueError, match="nonnegative"):
         sign_of_terms([(1, 1, 0), (1, -2, 0)])
+    # a radicand or a power of pi that is no int is refused, not truncated (1 - sqrt(pi), 3 - 2 sqrt(2.9))
+    with pytest.raises(ValueError, match="power of pi must be an int"):
+        sign_of_terms([(1, 1, 0), (-1, 1, 0.5)])
+    with pytest.raises(ValueError, match="radicand must be an int"):
+        sign_of_terms([(3, 1, 0), (-2, 2.9, 0)])
+    for d, p in ((2.0, 0), (2, 1.0), (True, 0), (2, False), ("2", 0), (Fraction(2), 0)):
+        with pytest.raises(ValueError, match="must be an int"):
+            sign_of_terms([(3, 1, 0), (-2, d, p)])
+    # numpy integers are ints: 3 - 2 sqrt 2 > 0 and 1 - 4/pi < 0
+    assert sign_of_terms([(3, np.int64(1), np.int8(0)), (-2, np.uint16(2), np.int64(0))]) == 1
+    assert sign_of_terms([(1, 1, 0), (-4, np.int32(1), np.int64(-1))]) == -1
 
 
 @given(st.fractions(max_denominator=10**4), st.fractions(max_denominator=10**4),

@@ -210,6 +210,8 @@ def gamma_ratio_S(pair: MultiplicityPair) -> ScalarValue:
     That is exp(h((m2+1)/2) - h(s/2)) with h from ``_half_step_log_gamma``.
     The bound covers both errors of h, the subtraction and the exp.
     """
+    if pair.g != 4:
+        raise UnsupportedCaseError(f"S is defined for g=4 pairs, got g={pair.g}")
     h2, err2 = _half_step_log_gamma((pair.m2 + 1) / 2)
     hs, errs = _half_step_log_gamma((pair.m1 + pair.m2) / 2)
     value, rel = _exp(h2 - hs, err2 + errs + _EPS * abs(h2 - hs))
@@ -263,6 +265,8 @@ class IntegralValue:
 
 def integral_G(pair: MultiplicityPair) -> IntegralValue:
     """G = int_0^{pi/2} sin^m1 x cos^m2 x dx, closed form B((m1+1)/2,(m2+1)/2)/2."""
+    if pair.g != 4:
+        raise UnsupportedCaseError(f"G is defined for g=4 pairs, got g={pair.g}")
     m1, m2 = pair.m1, pair.m2
     beta, rel = _beta((m1 + 1) / 2, (m2 + 1) / 2)
     qval, qerr = quad(lambda x: np.sin(x) ** m1 * np.cos(x) ** m2, 0.0, math.pi / 2)

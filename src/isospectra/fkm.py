@@ -30,11 +30,10 @@ and P_i x is one gather of whole contiguous rows, signs included, O(d) per
 point at every ambient dimension.  Each entry of P_i x is one entry of x times
 +-1, so the gather gives the same bits as a product with the dense matrix.  The
 sums over a point's coordinates (|a|^2, |b|^2, each <a, B_i b>, the norms)
-run down the block's columns in numpy's pairwise row-sum order
-(``_row_sums``), and every elementwise step is the same operation on the same
-operands, so each output equals, bit for bit, what row-major numpy code gives.
-``eval_F`` takes q from ``quadratic_forms`` and sums r = |a|^2 + |b|^2 and
-sum_i q_i^2 row-major, with numpy itself.
+run down the block's columns, adding the rows in index order from +0.0
+(``_column_sums``), so no sum depends on the block a point falls in or on
+numpy's SIMD targets.  ``eval_F`` takes q from ``quadratic_forms`` and sums
+r = |a|^2 + |b|^2 and sum_i q_i^2 row-major, with numpy's own sums.
 
 Shape operators are exact: they come from the closed-form Hessian
 Hess F = 4 r I + 8 x x^T - 8 sum_i (2 P_i x (P_i x)^T + q_i P_i), restricted
@@ -209,39 +208,15 @@ def _unit_points(family: FKMFamily, x) -> np.ndarray:
     return x / norms
 
 
-def _row_sums(a: np.ndarray) -> np.ndarray:
-    """Sums over the first axis of a C-contiguous (d, n) block, in numpy's row-sum order.
+def _column_sums(a: np.ndarray) -> np.ndarray:
+    """Sums down the columns of a C-contiguous (d, n) block: the rows added in index order, from +0.0.
 
-    Entry j equals, bit for bit, ``np.sum`` of the row-major row a[:, j]:
-    numpy's pairwise sum.  Under 8 values it adds them in order; up to 128 it
-    keeps 8 strided accumulators, combines them as
-    ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)) and adds the rest in order; above
-    128 it splits at d/2 rounded down to a multiple of 8 and adds the sums of
-    the halves.  Each accumulator is one ``np.add.reduce`` over the outer axis,
-    which adds in order.  When d = 128 * 2^p every leaf has 128 values, so all
-    leaves are summed at once and the tree is added level by level.  Like
-    numpy's, every reduce starts from +0.0, so no sum is -0.0.  Where two NaNs
-    meet, the sign of the NaN that propagates may differ from numpy's.
+    ``np.add.reduce`` over the outer axis adds the rows in order, but numpy
+    sums a single contiguous column pairwise, so that one is accumulated.
     """
-    d, n = a.shape
-    if d < 8:
-        return np.add.reduce(a, axis=0)
-    leaves = d // 128
-    if d > 128 and (d % 128 or leaves & (leaves - 1)):
-        half = d // 2 - d // 2 % 8
-        return _row_sums(a[:half]) + _row_sums(a[half:])
-    leaves = max(leaves, 1)
-    size = d // leaves
-    strided = size - size % 8
-    acc = np.add.reduce(a.reshape(leaves, size, n)[:, :strided].reshape(leaves, strided // 8, 8 * n), axis=1)
-    # the accumulators of all leaves, in order, form one balanced tree
-    acc = acc.reshape(8 * leaves, n)
-    while len(acc) > 1:
-        acc = acc[0::2] + acc[1::2]
-    sums = acc[0]
-    for row in a[strided:size]:
-        sums += row
-    return sums
+    if a.shape[1] == 1:
+        return np.add.accumulate(a, axis=0)[-1] + 0.0
+    return np.add.reduce(a, axis=0)
 
 
 def _block_slices(n: int, d: int):
@@ -321,7 +296,7 @@ def _block_forms(family: FKMFamily, signed: np.ndarray, q: np.ndarray, px: np.nd
     l = len(x) // 2
     a = x[:l]
     squares = np.multiply(x, x, out=tmp)
-    a2, b2 = _row_sums(squares[:l]), _row_sums(squares[l:])
+    a2, b2 = _column_sums(squares[:l]), _column_sums(squares[l:])
     np.subtract(a2, b2, out=q[0])
     r = a2 + b2
     if grad is not None:
@@ -332,7 +307,7 @@ def _block_forms(family: FKMFamily, signed: np.ndarray, q: np.ndarray, px: np.nd
     for index, qi in zip(family._gathers[1:], q[1:]):
         # mode="clip" lets np.take write straight into px ("raise" buffers)
         np.take(signed, index[: len(px)], axis=0, out=px, mode="clip")
-        np.multiply(_row_sums(np.multiply(px[:l], a, out=tmp[:l])), 2.0, out=qi)
+        np.multiply(_column_sums(np.multiply(px[:l], a, out=tmp[:l])), 2.0, out=qi)
         if grad is not None:
             px *= 8.0 * qi
             grad -= px
@@ -376,8 +351,8 @@ def eval_F(family: FKMFamily, x) -> np.ndarray | float:
 
     For x = (a, b) in block form q_0 = |a|^2 - |b|^2 and q_i = 2 <a, B_i b>,
     since <B_i^T a, b> = <a, B_i b>; q comes from ``quadratic_forms``, and
-    |x|^2 is |a|^2 + |b|^2 with each half summed row-major, so F agrees bit
-    for bit with the r and q of the kernels.
+    |x|^2 = |a|^2 + |b|^2 and sum_i q_i^2 are numpy's row-major sums, which
+    may differ from the kernels' in-order r in the last bit.
     """
     x = _check_dim(family, x)
     q = quadratic_forms(family, x)
@@ -490,7 +465,7 @@ def _family_meta(family: FKMFamily) -> dict:
 
 def _row_norms(x: np.ndarray, tmp: np.ndarray) -> np.ndarray:
     """|x| of each column of the feature-major block x, through the scratch array tmp of x's shape."""
-    return np.sqrt(_row_sums(np.multiply(x, x, out=tmp)))
+    return np.sqrt(_column_sums(np.multiply(x, x, out=tmp)))
 
 
 def _compact(x: np.ndarray, keep: np.ndarray) -> int:
@@ -570,7 +545,7 @@ def _transported_draws(family: FKMFamily, rng, out: np.ndarray, theta: float) ->
             x = signed[:d]
             signed /= _row_norms(x, tmp)  # both halves: -x / |x| is -(x / |x|)
             r = _block_forms(family, signed, q, px, tmp, xi)
-            f = r**2 - 2.0 * _row_sums(q * q)
+            f = r**2 - 2.0 * _column_sums(q * q)
             keep[rows] = ok = np.abs(f) < 1.0 - 1e-8
             # the spherical gradient, then the unit normal; dropped rows divide by 1
             xi -= np.multiply(4.0 * f, x, out=tmp)
@@ -648,7 +623,7 @@ def _bundle_draws(family: FKMFamily, rng, out: np.ndarray) -> int:
             b2 = b_norm * b_norm
             for index in tops:
                 np.take(signed, index, axis=0, out=bb, mode="clip")  # B_i b'
-                step = _row_sums(np.multiply(bb, a, out=tmp))
+                step = _column_sums(np.multiply(bb, a, out=tmp))
                 step /= b2
                 a -= np.multiply(bb, step, out=tmp)
             a_norm = _row_norms(a, tmp)
@@ -715,9 +690,9 @@ def _eigenspace_draws(family: FKMFamily, rng, out: np.ndarray) -> int:
         for rows, signed, x, term, tmp in _feature_blocks(draws, d, l, d, wait=drawn):
             g, u = signed[:k], signed[k:w]
             squares = np.multiply(g, g, out=tmp[:k])
-            norm = np.sqrt(_row_sums(squares))
+            norm = np.sqrt(_column_sums(squares))
             scale = norm + g[0]
-            np.divide(_row_sums(squares[1:]), norm - g[0], out=scale, where=g[0] < 0)
+            np.divide(_column_sums(squares[1:]), norm - g[0], out=scale, where=g[0] < 0)
             np.multiply(u, scale, out=x[:l])
             # B_g^T u, one gather per B_i^T in the order i = 1..m
             bottom = x[l:]
@@ -784,14 +759,16 @@ def shape_operator_spectrum(family: FKMFamily, x) -> ShapeSpectrum:
     / |grad_S f|, where Hess F = 4 r I + 8 x x^T - 8 sum_i (2 P_i x (P_i x)^T
     + q_i P_i).  B x = 0 drops the x x^T term, and one pass of P_i over the
     rows of B gives both B P_i x and B (sum_i q_i P_i) B^T.  The point fixes
-    its own level: theta = level_angle(F(x)), and each eigenvalue is assigned
-    to the nearest of the four targets, whose counts are (m1, m2, m1, m2).
+    its own level: theta = level_angle(f) with f from ``eval_F``, so the
+    targets and the focal decision follow F bit for bit.  Each eigenvalue is
+    assigned to the nearest of the four targets, whose counts are
+    (m1, m2, m1, m2).
     """
     x = _unit_points(family, x)
     if x.ndim != 1:
         raise ValueError("shape_operator_spectrum expects a single point")
     r, q, grad = _forms_and_gradient(family, x)
-    f = float(r * r - 2.0 * np.sum(q * q))  # eval_F's sum; BLAS's dot may differ in the last bit
+    f = eval_F(family, x)
     g = grad - 4.0 * f * x
     g_norm = np.linalg.norm(g)
     if g_norm < _FOCAL_GRAD_CUTOFF or not abs(f) < 1.0:

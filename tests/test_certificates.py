@@ -435,11 +435,13 @@ def test_certify_precondition_guard():
         certs.certify_hypersurface(pair_g4(1, 6))
     with pytest.raises(UnsupportedCaseError):
         certs.certify_hypersurface(pair_g4(1, 1))
-    # theta_alpha = theta_1 + (alpha-1) pi/4 is g=4's; a g=2 pair has no K_3
-    with pytest.raises(UnsupportedCaseError, match="g=4"):
-        certs.integral_K(MultiplicityPair(2, 3, 5), 3)
-    with pytest.raises(UnsupportedCaseError, match="g=4"):
-        certs.threshold_A(MultiplicityPair(2, 3, 5))
+    # theta_alpha = theta_1 + (alpha-1) pi/4 is g=4's; a g=2 pair has no K_3,
+    # and G, S and A are quantities of the g=4 chain
+    g2 = MultiplicityPair(2, 3, 5)
+    for quantity in (lambda: certs.integral_K(g2, 3), lambda: certs.threshold_A(g2),
+                     lambda: certs.integral_G(g2), lambda: certs.gamma_ratio_S(g2)):
+        with pytest.raises(UnsupportedCaseError, match="g=4"):
+            quantity()
 
 
 # (69, 2 delta(69) - 70) puts G = B(35, ~3.4e10)/2 at 0.0; at (67, delta(67) - 68) it is subnormal

@@ -274,31 +274,36 @@ def test_samplers_make_one_pass_per_batch(fam43, monkeypatch):
 # -- blocked kernels against the dense unblocked loop -----------------------------------
 
 
+def _in_order_sum(v):
+    """Sums over the last axis, the entries added in index order from +0.0, as the kernels add them."""
+    return np.cumsum(v, axis=-1)[..., -1] + 0.0
+
+
 def _reference_forms(family, x):
     """r, q and grad F from dense products over all rows at once, the forms in block form.
 
     For x = (a, b): r = |a|^2 + |b|^2, q_0 = |a|^2 - |b|^2 and q_i = 2 <a, B_i b>
-    with B_i b = b @ B_i^T, B_i the top right l x l block of P_i; the
-    gradient takes one dense product x @ P_i per matrix.
+    with B_i b = b @ B_i^T, B_i the top right l x l block of P_i, each sum
+    taken in order; the gradient takes one dense product x @ P_i per matrix.
     """
     mats = [p.astype(np.float64) for p in family.system.matrices]
     l = family.system.l
     a, b = x[..., :l], x[..., l:]
-    a2, b2 = np.sum(a * a, axis=-1), np.sum(b * b, axis=-1)
+    a2, b2 = _in_order_sum(a * a), _in_order_sum(b * b)
     r = a2 + b2
     q = np.empty(x.shape[:-1] + (len(mats),))
     q[..., 0] = a2 - b2
     grad = 4.0 * r[..., None] * x
     for i, p in enumerate(mats):
         if i:
-            q[..., i] = 2.0 * np.sum(a * (b @ p[:l, l:].T), axis=-1)
+            q[..., i] = 2.0 * _in_order_sum(a * (b @ p[:l, l:].T))
         grad -= 8.0 * q[..., i, None] * (x @ p)
     return r, q, grad
 
 
 # d = 6, 16, 32, 64, 128: one and several blocks per batch at each
 BLOCK_PAIRS = [(1, 1), (4, 3), (8, 7), (9, 22), (12, 51)]
-# d = 200 (whose pairwise sum splits unevenly), 256 and 512: the kernels alone
+# d = 200, 256 and 512: the kernels alone
 WIDE_PAIRS = [(1, 98), (16, 111), (2, 253)]
 
 
@@ -325,7 +330,10 @@ def test_blocked_kernels_bit_identical(block_families, pair):
         assert all(np.array_equal(a, b) for a, b in zip(got, (r, q, grad)))
         assert np.array_equal(fkm.quadratic_forms(fam, x), q)
         assert np.array_equal(fkm.grad_F(fam, x), grad)
-        assert np.array_equal(fkm.eval_F(fam, x), r**2 - 2.0 * np.sum(q * q, axis=-1))
+        # eval_F's r and sum_i q_i^2 are numpy's row-major sums
+        l = fam.system.l
+        r_numpy = np.sum(x[..., :l] ** 2, axis=-1) + np.sum(x[..., l:] ** 2, axis=-1)
+        assert np.array_equal(fkm.eval_F(fam, x), r_numpy**2 - 2.0 * np.sum(q * q, axis=-1))
 
 
 @pytest.mark.parametrize("pair", BLOCK_PAIRS + WIDE_PAIRS, ids=lambda p: f"{p[0]}-{p[1]}")
@@ -356,19 +364,26 @@ def _special_columns(d):
     return a
 
 
+def _column_sums_in_order(block):
+    """The rows of a (d, n) block added one at a time, in index order, from +0.0."""
+    sums = np.zeros(block.shape[1])
+    for row in block:
+        sums = sums + row
+    return sums
+
+
 @pytest.mark.parametrize("rows", [1, 2, 7, 513])
-def test_row_sums_keep_numpys_row_sum_order(rows):
-    # the feature-major sums must give the bits of np.sum over row-major rows;
-    # the reference is a row-major copy, since np.sum over the transposed view
-    # walks it in memory order and adds in another order
+def test_column_sums_add_the_rows_in_order(rows):
+    # one column too, which numpy alone would sum pairwise; each block whole and as a row slice
     rng = np.random.default_rng(50 + rows)
     for d in [*range(1, 301), 512, 1024]:
         a = rng.standard_normal((d, rows)) * 10.0 ** rng.integers(-12, 13, (d, rows))
-        b = _special_columns(d)
-        for block in (a, b):
+        special = _special_columns(d)
+        columns = [special[:, [j]] for j in range(special.shape[1])] if rows == 1 else [special]
+        for block in (a, a[d // 3 :], *columns):
             with np.errstate(invalid="ignore"):  # inf - inf
-                got = fkm._row_sums(block)
-                ref = np.sum(np.ascontiguousarray(block.T), axis=-1)
+                got = fkm._column_sums(block)
+                ref = _column_sums_in_order(block)
             assert got.shape == ref.shape, d
             assert np.array_equal(got, ref, equal_nan=True), (d, rows)
             assert np.array_equal(np.signbit(got), np.signbit(ref)), (d, rows)
@@ -392,26 +407,31 @@ def _blocks(draw):
 
 @settings(max_examples=150)
 @given(_blocks())
-def test_row_sums_match_numpy_on_any_block(block):
+def test_column_sums_add_any_block_in_order(block):
     with np.errstate(all="ignore"):  # inf - inf, overflow
-        got = fkm._row_sums(block)
-        ref = np.sum(np.ascontiguousarray(block.T), axis=-1)
+        got = fkm._column_sums(block)
+        ref = _column_sums_in_order(block)
     assert np.array_equal(got, ref, equal_nan=True)
-    # where two NaNs meet, which one propagates follows the compiled operand order
+    # zero signs included; where two NaNs meet, which one propagates follows the compiled operand order
     number = ~np.isnan(ref)
     assert np.array_equal(np.signbit(got[number]), np.signbit(ref[number]))
 
 
 @pytest.mark.parametrize("pair", BLOCK_PAIRS, ids=lambda p: f"{p[0]}-{p[1]}")
 def test_clouds_match_one_dense_block(block_families, pair, monkeypatch):
+    # three full blocks and one row: every sampler's first batch ends in a one-column block
     fam = block_families[pair]
-    count = _several_blocks(fam)
+    counts = (_several_blocks(fam), 3 * (fkm._BLOCK_ELEMENTS // fam.ambient_dim) + 1)
 
     def clouds():
         return [
-            fkm.sample_level_set(fam, 0.2, count, seed=27).points,
-            fkm.sample_focal_M1(fam, count, seed=28).points,
-            fkm.sample_focal_M2(fam, count, seed=29).points,
+            cloud
+            for count in counts
+            for cloud in (
+                fkm.sample_level_set(fam, 0.2, count, seed=27).points,
+                fkm.sample_focal_M1(fam, count, seed=28).points,
+                fkm.sample_focal_M2(fam, count, seed=29).points,
+            )
         ]
 
     blocked = clouds()
@@ -423,14 +443,14 @@ def test_clouds_match_one_dense_block(block_families, pair, monkeypatch):
 
 
 def _unit_rows(x):
-    return x / np.linalg.norm(x, axis=-1, keepdims=True)
+    return x / np.sqrt(_in_order_sum(x * x))[..., None]
 
 
 def _reference_transported(family, rng, want, theta):
     """Unit rows of draws transported to level cos(4 theta), whole batch at a time."""
     draw = _unit_rows(rng.standard_normal((want, family.ambient_dim)))
     r, q, grad = _reference_forms(family, draw)
-    f0 = r**2 - 2.0 * np.sum(q * q, axis=-1)
+    f0 = r**2 - 2.0 * _in_order_sum(q * q)
     g = grad - 4.0 * f0[:, None] * draw
     ok = np.abs(f0) < 1.0 - 1e-8
     move = np.arccos(f0[ok]) / 4.0 - theta
@@ -446,13 +466,13 @@ def _reference_bundle(family, rng, want):
     l = family.system.l
     draw = rng.standard_normal((want, 2 * l))
     a, b = draw[:, :l], draw[:, l:]
-    b_norm = np.sqrt(np.sum(b * b, axis=-1))
+    b_norm = np.sqrt(_in_order_sum(b * b))
     b_norm[b_norm == 0.0] = 1.0
     b2 = b_norm * b_norm
     for p in family.system.matrices[1:]:
         v = b @ p[:l, l:].T.astype(np.float64)
-        a -= v * (np.sum(v * a, axis=-1) / b2)[:, None]
-    a_norm = np.sqrt(np.sum(a * a, axis=-1))
+        a -= v * (_in_order_sum(v * a) / b2)[:, None]
+    a_norm = np.sqrt(_in_order_sum(a * a))
     ok = np.isfinite(a_norm) & (a_norm > 0.0)
     a /= (np.where(ok, a_norm, 1.0) * np.sqrt(2.0))[:, None]
     b /= (b_norm * np.sqrt(2.0))[:, None]
@@ -467,8 +487,8 @@ def _reference_eigenspace(family, rng, want):
     k, l = len(family.system.matrices), family.system.l
     draws = rng.standard_normal((want, k + l))
     g, u = draws[:, :k], draws[:, k:]
-    norm = np.linalg.norm(g, axis=-1)
-    tail = np.sum(g[:, 1:] ** 2, axis=-1)
+    norm = np.sqrt(_in_order_sum(g * g))
+    tail = _in_order_sum(g[:, 1:] ** 2)
     negative = g[:, 0] < 0
     scale = norm + g[:, 0]
     scale[negative] = tail[negative] / (norm[negative] - g[negative, 0])
@@ -477,7 +497,7 @@ def _reference_eigenspace(family, rng, want):
     for i, b in enumerate(blocks[1:], start=2):
         bottom += g[:, i : i + 1] * (u @ b)
     cand = np.concatenate([scale[:, None] * u, bottom], axis=1)
-    norms = np.linalg.norm(cand, axis=-1)
+    norms = np.sqrt(_in_order_sum(cand * cand))
     ok = np.isfinite(norms) & (norms > 0.0)
     return cand[ok] / norms[ok, None]
 
@@ -1359,18 +1379,19 @@ def _seeded_digests(sample):
     return points.hexdigest(), sidecars.hexdigest()
 
 
-# Both focal proposals use only +, *, /, sqrt and gathers, so the bits do not
-# depend on the platform's libm
+# Both focal proposals use only +, *, /, sqrt and gathers, and the kernels add
+# a point's coordinates in index order, so the bits depend neither on the
+# platform's libm nor on numpy's SIMD targets
 def test_seeded_m2_clouds_keep_their_digests():
     assert _seeded_digests(fkm.sample_focal_M2) == (
-        "178a0a13ee03adc20a8ccb3744bc1575e86027c1c45f3c60ce61cdaf2294c25f",
-        "1a1f4c636bda571a4c7d18ad89b27568bec0d5e73363ed0ec7cfc0d2a94c7850")
+        "aa82dc704ce2d59c9c8e66ef35f97b4adf1b5ac2cf65b5434fdd46f4b1ad78ba",
+        "b9223e0834b578acadf88a0783368c1dde47804890fc55e9cd8feb2d38209e63")
 
 
 def test_seeded_m1_clouds_keep_their_digests():
     assert _seeded_digests(fkm.sample_focal_M1) == (
-        "612d131f4233918aadcf55bba2056235f3b37f86e98999fb49a82b63fb2818d7",
-        "29e3d6e42a1a03a75d4070da8cb1b0e961fb2d93f34b46bcda3a1a192893a6bd")
+        "23a97afef0c8bc9ddfeaeccfe818086667135f52d677bcbef08df134733f215c",
+        "86ffcf06f0b0750c05dbe0caa6b2b7e1f3f19a5d59a42f8c4e66de862065f848")
 
 
 def test_m2_clouds_record_their_proposal(fam11, tmp_path):
